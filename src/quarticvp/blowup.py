@@ -8,13 +8,16 @@ volume preserving exactly when its center sits on the strict transform
 with the crepant multiplicity: order 2 at a point, order 1 along the line.
 
 Everything is tracked in the first affine chart, where every center of the
-chain is visible.
+chain is visible.  The chart maps live here too and are shared with the
+local classifier and the witness generator: ``point_chart`` and
+``mirror_chart`` for a point blowup, ``line_chart`` for a blowup of the
+line {x1 = x3 = 0}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ReducibleInput
 from .poly import (
@@ -40,7 +43,6 @@ _X3 = Polynomial.variable(3)
 class RayStep:
     ray: tuple
     kind: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class VpTrace:
     weights: tuple
     assignment: tuple
     steps: list = field(default_factory=list)
-    strict_transforms: list = field(default_factory=list)
 
     @property
     def overall_vp(self) -> bool:
@@ -88,23 +89,40 @@ def ray_sequence(a: int, b: int) -> list:
         raise ValueError("weights must satisfy 1 <= a <= b")
     if math.gcd(a, b) != 1:
         raise ValueError(f"weights (1,{a},{b}) are not coprime")
-    steps = [RayStep((1, i, i), POINT, i) for i in range(1, a + 1)]
-    steps += [RayStep((1, a, i), CURVE, i) for i in range(a + 1, b + 1)]
+    steps = [RayStep((1, i, i), POINT) for i in range(1, a + 1)]
+    steps += [RayStep((1, a, i), CURVE) for i in range(a + 1, b + 1)]
     return steps
 
 
+def point_chart(g: Polynomial) -> Polynomial:
+    """First chart of the blowup at the origin, exceptional power removed."""
+    total = substitute(g, {2: _X1 * _X2, 3: _X1 * _X3})
+    return divide_var_power(total, 1, var_power_content(total, 1))
+
+
+def mirror_chart(g: Polynomial) -> Polynomial:
+    """Second chart, relabeled so the exceptional divisor is again {x1=0}."""
+    total = substitute(g, {1: _X1 * _X2, 3: _X2 * _X3})
+    stripped = divide_var_power(total, 2, var_power_content(total, 2))
+    return permute_variables(stripped, (0, 2, 1, 3))
+
+
+def line_chart(g: Polynomial) -> Polynomial:
+    """Chart of the blowup of {x1 = x3 = 0}, exceptional power removed."""
+    total = substitute(g, {3: _X1 * _X3})
+    return divide_var_power(total, 1, var_power_content(total, 1))
+
+
 def step_transform(f: Polynomial, kind: str) -> Polynomial:
-    """Strict transform in the first chart: substitute, strip x1-content."""
+    """Strict transform of one chain step, in the first chart."""
     if f.is_zero():
         raise ValueError("cannot transform the zero polynomial")
     if kind == POINT:
-        total = substitute(f, {2: _X1 * _X2, 3: _X1 * _X3})
+        strict = point_chart(f)
     elif kind == CURVE:
-        total = substitute(f, {3: _X1 * _X3})
+        strict = line_chart(f)
     else:
         raise ValueError(f"unknown step kind {kind!r}")
-    content = var_power_content(total, 1)
-    strict = divide_var_power(total, 1, content)
     if strict.is_constant():
         raise ReducibleInput(
             "the exceptional divisor absorbed the whole strict transform"
@@ -169,17 +187,8 @@ def run_toric_description(q: NormalizedQuartic, assignment) -> VpTrace:
     perm, (_, a, b) = weight_one_relabeling(assignment)
     f = permute_variables(dehomogenize(q.full_equation(), 0), perm)
     trace = VpTrace(weights=(1, a, b), assignment=tuple(assignment))
-    trace.strict_transforms.append(f)
     for step in ray_sequence(a, b):
-        record = step_vp(f, step.kind)
-        record = StepRecord(
-            ray=step.ray,
-            kind=record.kind,
-            order=record.order,
-            discrepancy=record.discrepancy,
-            vp=record.vp,
-            non_canonical=record.non_canonical,
-        )
+        record = replace(step_vp(f, step.kind), ray=step.ray)
         if record.kind == CURVE and record.non_canonical:
             raise ReducibleInput(
                 "the center line is multiple on the strict transform; "
@@ -187,5 +196,4 @@ def run_toric_description(q: NormalizedQuartic, assignment) -> VpTrace:
             )
         trace.steps.append(record)
         f = step_transform(f, step.kind)
-        trace.strict_transforms.append(f)
     return trace

@@ -2,7 +2,8 @@
 
 Subcommands: classify, vp, check, generate, tables, selftest.  Input is a
 homogeneous quartic in the polynomial grammar, from a file or stdin.
-Exit codes distinguish the failure classes: 2 parse, 3 geometry, 4 field
+Exit codes distinguish the failure classes: 2 parse, 3 geometry (also
+generation failure and input outside the canonical range), 4 field
 extension, 5 consistency violation, 6 table mismatch.
 """
 
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import (
+    ClassificationError,
     ConsistencyViolation,
     FieldExtensionRequired,
     GenerationError,
@@ -232,7 +234,7 @@ def main(argv=None) -> int:
     except (PolyParseError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GeometryError, GenerationError) as exc:
+    except (GeometryError, GenerationError, ClassificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
     except FieldExtensionRequired as exc:

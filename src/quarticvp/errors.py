@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
-Each class maps to one CLI exit code (see cli.EXIT_CODES), so callers can
-distinguish bad syntax from bad geometry from genuine bugs.
+The command line maps these classes to exit codes (the EXIT_* constants in
+cli.py), so callers can distinguish bad syntax from bad geometry from
+genuine bugs.
 """
 
 

@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Rational components are stdlib Fractions: arbitrary precision, always
-# reduced, positive denominator.
-Rat = Fraction
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):

@@ -20,11 +20,13 @@ cap and raise GenerationError instead of returning a fake witness.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GenerationError, QuarticVPError
+from .blowup import mirror_chart, point_chart
+from .errors import ConsistencyViolation, GenerationError, QuarticVPError
 from .field import GaussianRational, ONE, ZERO, sqrt_if_exists
 from .poly import Polynomial, substitute
 from .quartic import (
@@ -34,33 +36,76 @@ from .quartic import (
     X2X3,
     X3SQ,
     coefficients,
+    quadratic_rank,
     quartic_from_table,
 )
 from .singclass import (
     TypeTag,
-    _normalize_rank1,
-    _normalize_rank2,
     a_chain_quantities,
+    a_chain_walk,
     classify,
     line_slice,
-    mirror_chart,
-    point_chart,
+    normalize_rank1,
 )
+from .vpanalyzer import analyze_weight
 
 MAX_RETRIES = 64
-_X1 = Polynomial.variable(1)
 _X2 = Polynomial.variable(2)
-_X3 = Polynomial.variable(3)
 
-# cumulative equality conditions (Tables 5 and 6) along each ray sequence
-WEIGHT_CONDITIONS = {
-    (1, 1, 3): ("b0", "beta2", "rho2", "sigma0"),
-    (1, 2, 3): ("b0", "beta2", "c0"),
-    (1, 2, 5): ("b0", "beta2", "c0", "rho2", "delta2", "sigma0", "eps2"),
-    (1, 3, 4): ("b0", "c0", "beta2", "beta3", "delta2"),
-    (1, 3, 5): ("b0", "c0", "beta2", "beta3", "delta2", "rho2"),
-    (1, 4, 5): ("b0", "c0", "beta2", "beta3", "delta2", "delta3"),
+# per-ray volume-preserving conditions (Tables 5 and 6): names that must
+# vanish, plus side conditions that must NOT vanish (on pain of a
+# reducibility contradiction)
+CONDITIONS_A = {
+    (1, 1, 1): ((), ()),
+    (1, 1, 2): ((), ()),
+    (1, 1, 3): (("b0", "beta2", "rho2", "sigma0"), ()),
+    (1, 1, 4): (("c0", "delta2", "eps2", "tau0", "lam0"), ()),
+    (1, 2, 2): (("b0",), ()),
+    (1, 2, 3): (("beta2", "c0"), ()),
+    (1, 2, 4): (("rho2", "delta2"), ()),
+    (1, 2, 5): (("sigma0", "eps2"), ()),
+    (1, 3, 3): (("c0", "beta2", "beta3"), ()),
+    (1, 3, 4): (("delta2",), ()),
+    (1, 3, 5): (("rho2",), ()),
 }
+
+CONDITIONS_DE = {
+    (1, 1, 1): ((), ()),
+    (1, 1, 2): ((), ()),
+    (1, 1, 3): (("b0", "beta2", "rho2", "sigma0"), ()),
+    (1, 2, 2): (("b0",), ()),
+    (1, 2, 3): (("beta2", "c0"), ()),
+    (1, 2, 4): (("rho2", "delta2"), ("beta3",)),
+    (1, 2, 5): (("sigma0", "eps2"), ()),
+    (1, 3, 3): (("c0", "beta2", "beta3"), ()),
+    (1, 3, 4): (("delta2",), ()),
+    (1, 3, 5): (("rho2",), ("delta3",)),
+    (1, 3, 6): (("eps2",), ()),
+    (1, 3, 7): (("sigma0",), ()),
+    (1, 4, 4): (("delta2", "delta3"), ()),
+    (1, 4, 5): ((), ()),
+    (1, 4, 6): (("rho2",), ()),
+}
+
+
+def prior_conditions(ray, table, which: int = 0) -> tuple:
+    """Union of the conditions of all earlier rays in the chain.
+
+    ``which`` selects the slot: 0 for the equalities, 1 for the side
+    conditions that must stay nonzero.
+    """
+    _, c, d = ray
+    names = []
+    for i in range(1, c + 1):
+        for n in table.get((1, i, i), ((), ()))[which]:
+            if n not in names:
+                names.append(n)
+    for j in range(c + 1, d):
+        for n in table.get((1, c, j), ((), ()))[which]:
+            if n not in names:
+                names.append(n)
+    return tuple(names)
+
 
 # colored (non-generic) weights of each classification row, per the result
 # tables; generic witnesses must avoid each of these condition sets
@@ -83,6 +128,14 @@ COLORED_WEIGHTS = {
     ("E", 6): ((1, 2, 3), (1, 3, 4), (1, 3, 5)),
     ("E", 7): ((1, 2, 3), (1, 3, 4), (1, 3, 5)),
     ("E", 8): ((1, 2, 3), (1, 3, 4), (1, 3, 5), (1, 4, 5)),
+}
+
+# cumulative equality conditions along each colored weight's ray sequence;
+# on the rays of the A-family weights the two tables agree
+WEIGHT_CONDITIONS = {
+    w: prior_conditions(w, CONDITIONS_DE) + CONDITIONS_DE[w][0]
+    for row in COLORED_WEIGHTS.values()
+    for w in row
 }
 
 GENERATOR_TARGETS = tuple(
@@ -138,6 +191,10 @@ def _draw_nonzero(rng: random.Random) -> GaussianRational:
             return v
 
 
+# what a refused probe evaluates to inside _Builder.solve
+_REFUSED = object()
+
+
 class _Builder:
     """Mutable coefficient vector with frozen slots and probe solving."""
 
@@ -165,6 +222,8 @@ class _Builder:
         """Zero ``objective(quartic)`` by adjusting one free coefficient.
 
         ``objective`` returns None when satisfied, else the defect value.
+        A probe the objective refuses (a package error other than a
+        ConsistencyViolation, or a ValueError) is skipped.
         """
 
         def value_at(name, v):
@@ -172,6 +231,10 @@ class _Builder:
             self.values[name] = v
             try:
                 return objective(self.quartic())
+            except ConsistencyViolation:
+                raise
+            except (QuarticVPError, ValueError):
+                return _REFUSED
             finally:
                 self.values[name] = old
 
@@ -179,12 +242,13 @@ class _Builder:
             if name in self.frozen:
                 continue
             base = self.values[name]
-            try:
-                y0 = value_at(name, base)
-                if y0 is None:
-                    return True
-                y1 = value_at(name, base + ONE)
-            except (QuarticVPError, ValueError):
+            y0 = value_at(name, base)
+            if y0 is None:
+                return True
+            if y0 is _REFUSED:
+                continue
+            y1 = value_at(name, base + ONE)
+            if y1 is _REFUSED:
                 continue
             if y1 is None:
                 self.set(name, base + ONE, freeze=False)
@@ -192,15 +256,11 @@ class _Builder:
             slope = y1 - y0
             if slope:
                 root = base - y0 / slope
-                try:
-                    if value_at(name, root) is None:
-                        self.set(name, root, freeze=False)
-                        return True
-                except (QuarticVPError, ValueError):
-                    pass
-            try:
-                y2 = value_at(name, base + 2)
-            except (QuarticVPError, ValueError):
+                if value_at(name, root) is None:
+                    self.set(name, root, freeze=False)
+                    return True
+            y2 = value_at(name, base + 2)
+            if y2 is _REFUSED:
                 continue
             if y2 is None:
                 self.set(name, base + 2, freeze=False)
@@ -214,12 +274,9 @@ class _Builder:
             if disc is None:
                 continue
             for offset in ((-q + disc) / (p * 2), (-q - disc) / (p * 2)):
-                try:
-                    if value_at(name, base + offset) is None:
-                        self.set(name, base + offset, freeze=False)
-                        return True
-                except (QuarticVPError, ValueError):
-                    continue
+                if value_at(name, base + offset) is None:
+                    self.set(name, base + offset, freeze=False)
+                    return True
         return False
 
 
@@ -236,6 +293,27 @@ def _avoids_colored(q: NormalizedQuartic, target: TypeTag) -> bool:
         if satisfies_conditions(table, WEIGHT_CONDITIONS[weights]):
             return False
     return True
+
+
+def conforming_instance(family: str, ray, seed: int, toggle: str | None = None):
+    """A random instance meeting the prior rays' conditions for ``ray``.
+
+    The row's own equalities are imposed too, except that ``toggle`` (one
+    of them) is set to a random nonzero value instead.  Side conditions of
+    the row are forced nonzero.
+    """
+    table = CONDITIONS_A if family == "A" else CONDITIONS_DE
+    conditions, side = table[tuple(ray)]
+    rng = random.Random(f"table-row-{family}-{ray}-{seed}-{toggle}")
+    frozen = list(dict.fromkeys(prior_conditions(tuple(ray), table) + conditions))
+    if toggle is not None:
+        frozen.remove(toggle)
+    builder = _Builder(rng, X2X3 if family == "A" else X3SQ, tuple(frozen))
+    for name in prior_conditions(tuple(ray), table, which=1) + side:
+        builder.set(name, _draw_nonzero(rng), freeze=False)
+    if toggle is not None:
+        builder.set(toggle, _draw_nonzero(rng), freeze=False)
+    return builder.quartic()
 
 
 # -- A-family construction -----------------------------------------------------
@@ -310,8 +388,6 @@ def _build_a(target: TypeTag, frozen, rng: random.Random):
 
 
 def _build_a1(rng: random.Random):
-    from .quartic import quadratic_rank
-
     while True:
         a_part = Polynomial.zero()
         for i in range(1, 4):
@@ -338,34 +414,16 @@ def _quad_slots(germ):
 
 def _a_terminal_defect(germ, req, stage):
     """Defects of a terminal A3 or A5 germ inside the walk."""
-    g = _normalize_rank2(germ)
-    h = point_chart(g)
-    grad = h.coefficient((0, 1, 0, 0))
-    if not grad.is_zero():
-        return ("a-grad1", stage), grad
-    quad = h.homogeneous_component(2)
-    a = quad.coefficient((0, 1, 1, 0))
-    b = quad.coefficient((0, 1, 0, 1))
-    det_gap = a * b - quad.coefficient((0, 2, 0, 0))
-    if req == "A3":
-        if det_gap.is_zero():
-            raise GenerationError("overshot the A3 terminal")
-        return None
-    if not det_gap.is_zero():
-        return ("a-det", stage), det_gap
-    g2 = substitute(h, {2: _X2 - _X1.scale(b), 3: _X3 - _X1.scale(a)})
-    h2 = point_chart(g2)
-    grad2 = h2.coefficient((0, 1, 0, 0))
-    if not grad2.is_zero():
-        return ("a-grad2", stage), grad2
-    quad2 = h2.homogeneous_component(2)
-    det2 = (
-        quad2.coefficient((0, 1, 1, 0)) * quad2.coefficient((0, 1, 0, 1))
-        - quad2.coefficient((0, 2, 0, 0))
-    )
-    if det2.is_zero():
-        raise GenerationError("overshot the A5 terminal")
-    return None
+    blowups = 1 if req == "A3" else 2
+    for count, (grad, gap) in enumerate(a_chain_walk(germ), 1):
+        if grad:
+            return (f"a-grad{count}", stage), grad
+        if count == blowups:
+            if not gap:
+                raise GenerationError(f"overshot the {req} terminal")
+            return None
+        if gap:
+            return ("a-det", stage), gap
 
 
 # ordinal of each defect kind within one stage, so probes can tell "the
@@ -412,7 +470,7 @@ def _walk_objective(chain, t0: GaussianRational):
             gap = b * b - c * 4
             if not gap.is_zero():
                 return ("rank1", stage), gap
-            germ = _normalize_rank1(germ)
+            germ = normalize_rank1(germ)
             h = point_chart(germ)
             p = line_slice(h)
             if not p:
@@ -527,7 +585,9 @@ def _build_de(target: TypeTag, frozen, rng: random.Random):
     for _ in range(24):
         try:
             defect = objective(builder.quartic())
-        except (GenerationError, QuarticVPError, ValueError):
+        except ConsistencyViolation:
+            raise
+        except (QuarticVPError, ValueError):
             break
         if defect is None:
             break
@@ -590,12 +650,12 @@ def generate(spec: GenSpec) -> NormalizedQuartic:
                 if not _avoids_colored(q, spec.target):
                     continue
             else:
-                from .vpanalyzer import analyze_weight
-
                 _, a, b = tuple(spec.mode)
                 if not analyze_weight(q, a, b).vp:
                     continue
             return q
+        except ConsistencyViolation:
+            raise
         except (QuarticVPError, ValueError):
             continue
     raise GenerationError(
@@ -605,8 +665,6 @@ def generate(spec: GenSpec) -> NormalizedQuartic:
 
 def corpus_jsonl(items) -> str:
     """One JSON line per corpus member: the spec and the quartic."""
-    import json
-
     lines = []
     for spec, q in items:
         mode = "generic" if spec.mode == "generic" else list(spec.mode)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import FieldExtensionRequired, GeometryError
 from .field import GaussianRational, ONE, ZERO, coeff_sort_key, sqrt_if_exists
-from .poly import Polynomial, format_poly, linear_change, parse
+from .poly import Polynomial, format_poly, linear_change, parse, parse_coeff
 
 # -- small exact linear algebra ------------------------------------------------
 
@@ -289,8 +289,6 @@ class NormalizedQuartic:
 
     @staticmethod
     def from_json(data: dict) -> "NormalizedQuartic":
-        from .poly import parse_coeff
-
         change = tuple(
             tuple(parse_coeff(c) for c in row) for row in data["change"]
         )

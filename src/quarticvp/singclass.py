@@ -17,16 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .blowup import mirror_chart, point_chart
 from .errors import ClassificationError, GeometryError, NonNormalInput
 from .field import ZERO
 from .poly import (
     Polynomial,
-    divide_var_power,
-    permute_variables,
+    linear_change,
     squarefree_excess,
     substitute,
     unique_multiple_root,
-    var_power_content,
 )
 from .quartic import (
     NormalizedQuartic,
@@ -42,7 +41,6 @@ from .quartic import (
     rank1_square,
     tangent_cone_rank,
 )
-from .poly import linear_change
 
 MAX_REFINE_DEPTH = 4
 # the chain decides A2/A3 after one blowup, A4/A5 after two, A6/A7 after
@@ -268,19 +266,6 @@ _X2 = Polynomial.variable(2)
 _X3 = Polynomial.variable(3)
 
 
-def point_chart(g: Polynomial) -> Polynomial:
-    """First chart of the blowup at the origin, exceptional power removed."""
-    total = substitute(g, {2: _X1 * _X2, 3: _X1 * _X3})
-    return divide_var_power(total, 1, var_power_content(total, 1))
-
-
-def mirror_chart(g: Polynomial) -> Polynomial:
-    """Second chart, relabeled so the exceptional divisor is again {x1=0}."""
-    total = substitute(g, {1: _X1 * _X2, 3: _X2 * _X3})
-    stripped = divide_var_power(total, 2, var_power_content(total, 2))
-    return permute_variables(stripped, (0, 2, 1, 3))
-
-
 def line_slice(h: Polynomial) -> list:
     """Coefficients in x2 of the x1-linear, x3-free part of a chart equation.
 
@@ -312,7 +297,7 @@ def _normalize_rank2(g: Polynomial) -> Polynomial:
     return out
 
 
-def _normalize_rank1(g: Polynomial) -> Polynomial:
+def normalize_rank1(g: Polynomial) -> Polynomial:
     """Scale and change coordinates so the quadratic part is x3^2.
 
     Local equations may be scaled freely, so no square root is needed.
@@ -329,36 +314,45 @@ def _normalize_rank1(g: Polynomial) -> Polynomial:
     return out
 
 
-def _a_chain(g: Polynomial, cert: Certificate):
-    """Iterated point blowups of a germ with rank-2 tangent cone."""
+def a_chain_walk(g: Polynomial):
+    """Iterated point blowups of a germ with rank-2 tangent cone.
+
+    Yields, per blowup, the gradient of the chart equation at the node and
+    the defect a*b - c of the exceptional conic
+    x2*x3 + a*x1*x2 + b*x1*x3 + c*x1^2, whose Gram determinant is
+    (a*b - c)/4.  A nonzero gradient means a smooth point; a nonzero
+    defect means a node.  Otherwise the conic splits, and the next step
+    shears its node back to the origin before blowing up again.
+    """
     g = _normalize_rank2(g)
-    for count in range(1, A_CHAIN_BLOWUPS + 1):
+    while True:
         h = point_chart(g)
-        node_gradient = h.coefficient((0, 1, 0, 0))
+        quad = h.homogeneous_component(2)
+        a = quad.coefficient((0, 1, 1, 0))
+        b = quad.coefficient((0, 1, 0, 1))
+        yield h.coefficient((0, 1, 0, 0)), a * b - quad.coefficient((0, 2, 0, 0))
+        g = substitute(h, {2: _X2 - _X1.scale(b), 3: _X3 - _X1.scale(a)})
+
+
+def _a_chain(g: Polynomial, cert: Certificate):
+    """Classify a germ with rank-2 tangent cone along its A-chain walk."""
+    walk = a_chain_walk(g)
+    for count in range(1, A_CHAIN_BLOWUPS + 1):
+        node_gradient, defect = next(walk)
         if node_gradient:
             cert.add("chain smooth point", node_gradient, f"A{2 * count}", step=count)
             return TypeTag("A", 2 * count)
-        quad = h.homogeneous_component(2)
-        rank = quadratic_rank(quad)
-        if rank == 3:
+        if defect:
             step = count + 1 if count == A_CHAIN_BLOWUPS else count
             cert.add("chain node rank", 3, f"A{2 * count + 1}", step=step)
             return TypeTag("A", 2 * count + 1)
-        # rank 2: the exceptional conic splits; shear its node back to the
-        # origin and keep blowing up
-        a = quad.coefficient((0, 1, 1, 0))
-        b = quad.coefficient((0, 1, 0, 1))
-        c = quad.coefficient((0, 2, 0, 0))
-        if c != a * b:
-            raise ClassificationError("chain quadratic part is not rank 2")
-        g = substitute(h, {2: _X2 - _X1.scale(b), 3: _X3 - _X1.scale(a)})
     cert.add("chain exhausted", A_CHAIN_BLOWUPS, "A>=8", step=A_CHAIN_BLOWUPS + 1)
     return TypeTag("A", 8, exact=False)
 
 
 def _de_chain(g: Polynomial, cert: Certificate, depth: int):
     """Blowup of a rank-1 germ: coarse split plus recursive refinement."""
-    g = _normalize_rank1(g)
+    g = normalize_rank1(g)
     h1 = point_chart(g)
     hw2 = mirror_chart(g)
     p = line_slice(h1)

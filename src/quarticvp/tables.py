@@ -13,12 +13,24 @@ from __future__ import annotations
 import json
 import math
 
-from .blowup import ray_sequence, step_transform, step_vp
-from .errors import GenerationError, QuarticVPError
-from .generator import COLORED_WEIGHTS, GenSpec, generate
+from .blowup import ray_sequence, run_toric_description, step_transform, step_vp
+from .errors import GenerationError, QuarticVPError, ReducibleInput
+
+# the per-ray condition tables and their helpers live with the generator;
+# they are re-exported here next to the claimed tables
+from .generator import (
+    COLORED_WEIGHTS,
+    CONDITIONS_A,
+    CONDITIONS_DE,
+    GENERATOR_TARGETS,
+    GenSpec,
+    conforming_instance,
+    generate,
+    prior_conditions,
+)
 from .poly import dehomogenize
 from .singclass import TypeTag
-from .vpanalyzer import analyze_weight, enumerate_vp, sarkisov_filter, vp_set
+from .vpanalyzer import enumerate_vp, sarkisov_filter, vp_set
 
 BLACK_WEIGHTS = {
     ("A", 1): ((1, 1, 1),),
@@ -75,63 +87,21 @@ def claimed_link_table() -> dict:
     return {row: [list(w) for w in weights] for row, _, weights in LINK_ROWS}
 
 
-# per-ray volume-preserving conditions: names that must vanish, plus side
-# conditions that must NOT vanish (on pain of a reducibility contradiction)
-CONDITIONS_A = {
-    (1, 1, 1): ((), ()),
-    (1, 1, 2): ((), ()),
-    (1, 1, 3): (("b0", "beta2", "rho2", "sigma0"), ()),
-    (1, 1, 4): (("c0", "delta2", "eps2", "tau0", "lam0"), ()),
-    (1, 2, 2): (("b0",), ()),
-    (1, 2, 3): (("beta2", "c0"), ()),
-    (1, 2, 4): (("rho2", "delta2"), ()),
-    (1, 2, 5): (("sigma0", "eps2"), ()),
-    (1, 3, 3): (("c0", "beta2", "beta3"), ()),
-    (1, 3, 4): (("delta2",), ()),
-    (1, 3, 5): (("rho2",), ()),
-}
-
-CONDITIONS_DE = {
-    (1, 1, 1): ((), ()),
-    (1, 1, 2): ((), ()),
-    (1, 1, 3): (("b0", "beta2", "rho2", "sigma0"), ()),
-    (1, 2, 2): (("b0",), ()),
-    (1, 2, 3): (("beta2", "c0"), ()),
-    (1, 2, 4): (("rho2", "delta2"), ("beta3",)),
-    (1, 2, 5): (("sigma0", "eps2"), ()),
-    (1, 3, 3): (("c0", "beta2", "beta3"), ()),
-    (1, 3, 4): (("delta2",), ()),
-    (1, 3, 5): (("rho2",), ("delta3",)),
-    (1, 3, 6): (("eps2",), ()),
-    (1, 3, 7): (("sigma0",), ()),
-    (1, 4, 4): (("delta2", "delta3"), ()),
-    (1, 4, 5): ((), ()),
-    (1, 4, 6): (("rho2",), ()),
-}
-
 # rays whose own conditions make the exceptional divisor divide the strict
 # transform (x1 | f_i): meeting them contradicts irreducibility, so the
 # conforming step can never be genuinely volume preserving
 DEGENERATE_DE_RAYS = {(1, 1, 3), (1, 4, 6)}
 
 
-def prior_conditions(ray, table, which: int = 0) -> tuple:
-    """Union of the conditions of all earlier rays in the chain.
-
-    ``which`` selects the slot: 0 for the equalities, 1 for the side
-    conditions that must stay nonzero.
-    """
+def _containing_weights(ray):
+    """The shortest coprime (a, b) whose ray sequence contains ``ray``."""
     _, c, d = ray
-    names = []
-    for i in range(1, c + 1):
-        for n in table.get((1, i, i), ((), ()))[which]:
-            if n not in names:
-                names.append(n)
-    for j in range(c + 1, d):
-        for n in table.get((1, c, j), ((), ()))[which]:
-            if n not in names:
-                names.append(n)
-    return tuple(names)
+    if c == d:
+        return c, c + 1
+    b = d
+    while math.gcd(c, b) != 1:
+        b += 1
+    return c, b
 
 
 def ray_step_verdict(q, ray):
@@ -140,14 +110,7 @@ def ray_step_verdict(q, ray):
     The surrounding sequence is the shortest coprime one containing the
     ray; earlier steps are replayed without judgement.
     """
-    _, c, d = ray
-    if c == d:
-        a, b = c, c + 1
-    else:
-        b = d
-        while math.gcd(c, b) != 1:
-            b += 1
-        a = c
+    a, b = _containing_weights(ray)
     f = dehomogenize(q.full_equation(), 0)
     for step in ray_sequence(a, b):
         record = step_vp(f, step.kind)
@@ -160,8 +123,25 @@ def ray_step_verdict(q, ray):
 # -- computed tables ---------------------------------------------------------------
 
 
-def compute_vp_table(seed: int = 0, seeds_per_cell: int = 1) -> dict:
-    """Rebuild the vp-weight table from generated witnesses.
+def _row_witnesses(tag: TypeTag, seed: int) -> dict:
+    """The vp verdicts of each witness of one row, keyed by generator mode.
+
+    A colored cell the generator refuses maps to None; a refused generic
+    witness raises GenerationError, as the row has no black set without it.
+    """
+    cells = {"generic": enumerate_vp(generate(GenSpec(tag, "generic", seed)), tag=tag)}
+    for weights in COLORED_WEIGHTS[(tag.family, tag.index)]:
+        try:
+            q = generate(GenSpec(tag, weights, seed))
+        except GenerationError:
+            cells[weights] = None
+            continue
+        cells[weights] = enumerate_vp(q, tag=tag)
+    return cells
+
+
+def compute_vp_table(witnesses: dict) -> dict:
+    """Rebuild the vp-weight table from the generated witnesses.
 
     Black entries come from generic witnesses (their whole vp set is
     recorded); a colored entry is listed only when a specialized witness
@@ -169,85 +149,31 @@ def compute_vp_table(seed: int = 0, seeds_per_cell: int = 1) -> dict:
     """
     table = {}
     for tag in RESULT_ROWS:
-        key = (tag.family, tag.index)
-        row = {"black": None, "colored": [], "unrealizable": []}
-        for s in range(seeds_per_cell):
-            q = generate(GenSpec(tag, "generic", seed + s))
-            weights = sorted(vp_set(enumerate_vp(q, tag=tag)))
-            if row["black"] is None:
-                row["black"] = [list(w) for w in weights]
-            elif row["black"] != [list(w) for w in weights]:
-                row["black"] = "inconsistent"
-        for weights in COLORED_WEIGHTS[key]:
-            realized = False
-            for s in range(seeds_per_cell):
-                try:
-                    q = generate(GenSpec(tag, weights, seed + s))
-                except GenerationError:
-                    break
-                _, a, b = weights
-                if analyze_weight(q, a, b).vp:
-                    realized = True
-                    break
+        cells = witnesses[tag]
+        row = {
+            "black": [list(w) for w in sorted(vp_set(cells["generic"]))],
+            "colored": [],
+            "unrealizable": [],
+        }
+        for weights in COLORED_WEIGHTS[(tag.family, tag.index)]:
+            verdicts = cells[weights]
+            realized = verdicts is not None and weights in vp_set(verdicts)
             (row["colored"] if realized else row["unrealizable"]).append(list(weights))
         table[tag.label()] = row
     return table
 
 
-def compute_link_table(seed: int = 0) -> dict:
-    """Rebuild the link table by filtering computed vp sets per row."""
+def compute_link_table(witnesses: dict) -> dict:
+    """Rebuild the link table by filtering the witnesses' vp sets per row."""
     table = {}
     for row, tags, _ in LINK_ROWS:
         weights = set()
         for tag in tags:
-            specs = [GenSpec(tag, "generic", seed)]
-            for colored in COLORED_WEIGHTS[(tag.family, tag.index)]:
-                specs.append(GenSpec(tag, colored, seed))
-            for spec in specs:
-                try:
-                    q = generate(spec)
-                except GenerationError:
-                    continue
-                for verdict in sarkisov_filter(enumerate_vp(q, tag=tag)):
-                    weights.add(verdict.weights)
+            for verdicts in witnesses[tag].values():
+                if verdicts is not None:
+                    weights.update(v.weights for v in sarkisov_filter(verdicts))
         table[row] = [list(w) for w in sorted(weights)]
     return table
-
-
-def conforming_instance(family: str, ray, seed: int, toggle: str | None = None):
-    """A random instance meeting the prior rays' conditions for ``ray``.
-
-    The row's own equalities are imposed too, except that ``toggle`` (one
-    of them) is set to a random nonzero value instead.  Side conditions of
-    the row are forced nonzero.
-    """
-    import random
-
-    from .generator import _Builder, _draw_nonzero
-    from .quartic import X2X3, X3SQ
-
-    table = CONDITIONS_A if family == "A" else CONDITIONS_DE
-    conditions, side = table[tuple(ray)]
-    rng = random.Random(f"table-row-{family}-{ray}-{seed}-{toggle}")
-    frozen = [n for n in dict.fromkeys(prior_conditions(tuple(ray), table) + conditions)]
-    if toggle is not None:
-        frozen.remove(toggle)
-    builder = _Builder(rng, X2X3 if family == "A" else X3SQ, tuple(frozen))
-    for name in prior_conditions(tuple(ray), table, which=1) + side:
-        builder.set(name, _draw_nonzero(rng), freeze=False)
-    if toggle is not None:
-        builder.set(toggle, _draw_nonzero(rng), freeze=False)
-    return builder.quartic()
-
-
-def _containing_weights(ray):
-    _, c, d = ray
-    if c == d:
-        return c, c + 1
-    b = d
-    while math.gcd(c, b) != 1:
-        b += 1
-    return c, b
 
 
 def _toggle_check(family: str, ray, conditions, seed: int) -> dict:
@@ -258,9 +184,6 @@ def _toggle_check(family: str, ray, conditions, seed: int) -> dict:
     ("x1 divides the strict transform"): meeting their conditions makes
     the whole trace raise ReducibleInput instead of being vp.
     """
-    from .errors import ReducibleInput
-    from .blowup import run_toric_description
-
     degenerate = family != "A" and tuple(ray) in DEGENERATE_DE_RAYS
     outcome = {
         "ray": list(ray),
@@ -319,9 +242,10 @@ def claimed_tables() -> dict:
 
 
 def computed_tables(seed: int = 0) -> dict:
+    witnesses = {tag: _row_witnesses(tag, seed) for tag in GENERATOR_TARGETS}
     return {
-        "vp_weights": compute_vp_table(seed),
-        "links": compute_link_table(seed),
+        "vp_weights": compute_vp_table(witnesses),
+        "links": compute_link_table(witnesses),
         "conditions_a": compute_condition_table("A", seed),
         "conditions_de": compute_condition_table("DE", seed),
     }
@@ -333,9 +257,7 @@ def diff_tables(claimed: dict, computed: dict) -> list:
     for row, claim in claimed["vp_weights"].items():
         got = computed["vp_weights"][row]
         want_black = sorted(map(tuple, claim["black"]))
-        have_black = (
-            sorted(map(tuple, got["black"])) if got["black"] != "inconsistent" else None
-        )
+        have_black = sorted(map(tuple, got["black"]))
         if have_black != want_black:
             problems.append(f"{row}: generic vp set {have_black} != {want_black}")
         missing = [tuple(w) for w in claim["colored"] if list(w) not in got["colored"]]

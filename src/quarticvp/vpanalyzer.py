@@ -20,7 +20,7 @@ from .blowup import VpTrace, run_toric_description
 from .errors import ConsistencyViolation
 from .poly import dehomogenize, weighted_order
 from .quartic import NormalizedQuartic
-from .singclass import TypeTag
+from .singclass import TypeTag, classify
 
 # weight pairs whose blowup can initiate a Sarkisov link from P^3
 LINK_PAIRS = frozenset({(1, 1), (1, 2), (2, 3), (2, 5)})
@@ -60,9 +60,6 @@ class WeightVerdict:
     @property
     def initiates_link(self) -> bool:
         return self.vp and (self.a, self.b) in LINK_PAIRS
-
-    def vp_assignments(self) -> list:
-        return [r.assignment for r in self.results if r.discrepancy == 0]
 
     def to_json(self) -> dict:
         return {
@@ -134,8 +131,6 @@ def enumerate_vp(
     """Verdicts for every coprime (a, b) with a <= max_a, b <= max_b."""
     if max_a is None:
         if tag is None:
-            from .singclass import classify
-
             tag, _ = classify(q)
         max_a = default_max_a(tag)
     verdicts = []

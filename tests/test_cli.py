@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
+from quarticvp import cli
 from quarticvp.cli import main
+from quarticvp.errors import ClassificationError
 
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "quarticvp" / "data"
 A19 = str(FIXTURE / "a19_tangent_cone_form.txt")
@@ -62,6 +64,16 @@ def test_field_extension_exit_code(capsys, tmp_path):
     hard.write_text("x0^2*(x1^2 + 2*x2^2) + x0*x1^3 + x3^4")
     code, _, err = run(capsys, "classify", str(hard))
     assert code == 4
+
+
+def test_classification_error_exit_code(capsys, monkeypatch):
+    def refuse(q):
+        raise ClassificationError("an E-type point cannot sit over A3")
+
+    monkeypatch.setattr(cli, "classify", refuse)
+    code, _, err = run(capsys, "classify", A19)
+    assert code == 3
+    assert "cannot sit over A3" in err
 
 
 def test_point_flag(capsys, tmp_path):

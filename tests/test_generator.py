@@ -1,15 +1,21 @@
+import random
+
 import pytest
 
-from quarticvp.errors import GenerationError
+from quarticvp import generator
+from quarticvp.errors import ClassificationError, ConsistencyViolation, GenerationError
 from quarticvp.generator import (
     COLORED_WEIGHTS,
+    CONDITIONS_A,
     GENERATOR_TARGETS,
     WEIGHT_CONDITIONS,
     GenSpec,
     generate,
+    _Builder,
+    prior_conditions,
     satisfies_conditions,
 )
-from quarticvp.quartic import coefficients
+from quarticvp.quartic import X2X3, coefficients
 from quarticvp.singclass import TypeTag, classify
 from quarticvp.vpanalyzer import analyze_weight
 
@@ -59,6 +65,21 @@ def test_generic_avoids_colored_conditions():
             assert not satisfies_conditions(table, WEIGHT_CONDITIONS[weights])
 
 
+def test_weight_conditions_follow_the_ray_tables():
+    assert WEIGHT_CONDITIONS == {
+        (1, 1, 3): ("b0", "beta2", "rho2", "sigma0"),
+        (1, 2, 3): ("b0", "beta2", "c0"),
+        (1, 2, 5): ("b0", "beta2", "c0", "rho2", "delta2", "sigma0", "eps2"),
+        (1, 3, 4): ("b0", "c0", "beta2", "beta3", "delta2"),
+        (1, 3, 5): ("b0", "c0", "beta2", "beta3", "delta2", "rho2"),
+        (1, 4, 5): ("b0", "c0", "beta2", "beta3", "delta2", "delta3"),
+    }
+    # the A-family weights read the same conditions off the A table
+    for weights, names in WEIGHT_CONDITIONS.items():
+        if weights in CONDITIONS_A:
+            assert prior_conditions(weights, CONDITIONS_A) + CONDITIONS_A[weights][0] == names
+
+
 def test_unsupported_specializations_rejected():
     with pytest.raises(ValueError):
         GenSpec(TypeTag("A", 2), (1, 1, 3), 0)
@@ -85,3 +106,31 @@ def test_corpus_jsonl(small_corpus):
     assert set(first) == {"target", "mode", "seed", "quartic"}
     restored = NormalizedQuartic.from_json(first["quartic"])
     assert restored.A == small_corpus[0][1].A
+
+
+def test_consistency_violation_is_never_retried(monkeypatch):
+    # a direct vs stepwise disagreement is a bug, not a refused attempt
+    calls = []
+
+    def disagree(q, a, b):
+        calls.append((a, b))
+        raise ConsistencyViolation("direct and stepwise routes disagree")
+
+    monkeypatch.setattr(generator, "analyze_weight", disagree)
+    with pytest.raises(ConsistencyViolation):
+        generate(GenSpec(TypeTag("A", 4), (1, 2, 3), 0))
+    assert calls == [(2, 3)]
+
+
+def test_probe_solver_skips_refusals_but_not_bugs():
+    builder = _Builder(random.Random(0), X2X3)
+
+    def refused(q):
+        raise ClassificationError("not canonical")
+
+    def inconsistent(q):
+        raise ConsistencyViolation("direct and stepwise routes disagree")
+
+    assert builder.solve(refused, ("b0", "c0")) is False
+    with pytest.raises(ConsistencyViolation):
+        builder.solve(inconsistent, ("b0",))

@@ -1,0 +1,60 @@
+"""Layering rules of the package, checked on its source with ``ast``.
+
+* Modules import each other at module level, so each file's imports show
+  its place in the layering.  Only ``cli.py`` defers imports: it loads the
+  generator, the tables and the self-test for the subcommands that use them.
+* No module imports another module's underscore name; whatever two
+  modules share is public in the module that defines it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "quarticvp"
+MODULES = sorted(SRC.glob("*.py"))
+DEFERRED_IMPORTS_ALLOWED = {"cli.py"}
+
+
+def _package_import(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "quarticvp"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "quarticvp" for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_are_module_level(path):
+    if path.name in DEFERRED_IMPORTS_ALLOWED:
+        return
+    tree = ast.parse(path.read_text())
+    deferred = sorted(
+        {
+            node.lineno
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if _package_import(node)
+        }
+    )
+    assert not deferred, f"{path.name}: function-level package imports at lines {deferred}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_cross_modules(path):
+    private = [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and _package_import(node)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{path.name} imports private names: {private}"
+
+
+def test_scan_sees_the_package():
+    assert {"blowup.py", "generator.py", "singclass.py", "tables.py"} <= {
+        p.name for p in MODULES
+    }

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from quarticvp import fixtures
 from quarticvp.errors import ClassificationError, NonNormalInput
-from quarticvp.field import GaussianRational
-from quarticvp.poly import parse
+from quarticvp.field import GaussianRational, ZERO
+from quarticvp.poly import linear_change, parse
 from quarticvp.quartic import (
     CoefficientTable,
     X2X3,
@@ -215,3 +218,38 @@ def test_de_coarse_cases():
         )
     )
     assert tag.family == "D" and (tag.index > 4 or not tag.exact)
+
+
+# -- metamorphic: the type does not depend on the coordinates ----------------
+
+FRAME_CASES = [(parse(text), expected) for text, expected in WITNESSES] + [
+    (fixtures.a19_tangent_cone_form(), "A>=8")
+]
+
+SMALL_Q_I = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+@pytest.mark.parametrize("f,expected", FRAME_CASES, ids=[e for _, e in FRAME_CASES])
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(entries=st.lists(SMALL_Q_I, min_size=13, max_size=13))
+def test_type_is_invariant_under_point_fixing_frames(f, expected, entries):
+    """x -> M x with M e0 = M00 e0 keeps the marked point (1:0:0:0); the
+    frame is otherwise dense, so normalization, the criteria chain and the
+    blowup walks all run on new coefficients."""
+    block = [entries[4:7], entries[7:10], entries[10:13]]
+    assume(not entries[0].is_zero() and not _det3(block).is_zero())
+    matrix = [entries[0:4]] + [[ZERO] + row for row in block]
+    tag, _ = classify(normalize_at_point(linear_change(f, matrix), P0))
+    assert tag.label() == expected
