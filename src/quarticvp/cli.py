@@ -26,7 +26,7 @@ from .field import ONE, ZERO
 from .poly import format_poly, parse, parse_coeff
 from .quartic import normalize_at_point
 from .singclass import TypeTag, classification_to_json, classify
-from .vpanalyzer import analyze_weight, enumerate_vp, sarkisov_filter
+from .vpanalyzer import DEFAULT_MAX_B, analyze_weight, enumerate_vp, sarkisov_filter
 
 EXIT_PARSE = 2
 EXIT_GEOMETRY = 3
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vp", help="enumerate volume-preserving weight triples")
     add_input(p)
     p.add_argument("--max-a", type=int, default=None)
-    p.add_argument("--max-b", type=int, default=12)
+    p.add_argument("--max-b", type=int, default=DEFAULT_MAX_B)
     p.add_argument("--links-only", action="store_true")
     p.set_defaults(func=cmd_vp)
 

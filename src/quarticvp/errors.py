@@ -35,8 +35,8 @@ class NonNormalInput(GeometryError):
 
 
 class FieldExtensionRequired(QuarticVPError):
-    """Normalizing the tangent cone needs a square root that does not
-    exist in Q(i).  The input must be pre-conditioned by the caller."""
+    """A rank-2 tangent cone does not split into linear forms over Q(i):
+    the square root it needs does not exist there."""
 
 
 class ClassificationError(QuarticVPError):

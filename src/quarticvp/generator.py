@@ -24,6 +24,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .blowup import mirror_chart, point_chart
 from .errors import ConsistencyViolation, GenerationError, QuarticVPError
@@ -36,13 +37,14 @@ from .quartic import (
     X2X3,
     X3SQ,
     coefficients,
+    quad_monomial,
     quadratic_rank,
     quartic_from_table,
 )
 from .singclass import (
     TypeTag,
-    a_chain_quantities,
     a_chain_walk,
+    a_criteria,
     classify,
     line_slice,
     normalize_rank1,
@@ -319,71 +321,38 @@ def conforming_instance(family: str, ray, seed: int, toggle: str | None = None):
 # -- A-family construction -----------------------------------------------------
 
 
-def _eq_objective(extract):
-    def objective(q):
-        value = extract(coefficients(q))
+# probe candidates for zeroing each criterion of the A_n ladder, in order
+_A_PROBES = (
+    ("b0",),
+    ("c0", "beta3", "beta2"),
+    ("delta3", "delta2", "rho3", "rho2", "rho23"),
+    ("eps23", "eps2", "eps3", "sigma0", "sigma3", "delta2", "delta3"),
+    ("tau0", "tau3", "tau1", "tau2", "rho2", "rho3", "rho23"),
+    ("lam0", "lam4", "lam1", "lam3", "lam2", "eps2", "eps3"),
+)
+
+
+def _criterion_defect(k: int):
+    """Probe objective: criterion k of the A_n ladder, or None once it vanishes."""
+
+    def objective(q: NormalizedQuartic):
+        value, _, _ = next(islice(a_criteria(coefficients(q)), k, None))
         return None if value.is_zero() else value
 
     return objective
 
 
-def _gap4(t):
-    d = a_chain_quantities(t)
-    return d["xi2"] * d["xi3"] - d["alpha"]
-
-
-def _gap6(t):
-    d = a_chain_quantities(t)
-    return d["gamma2"] * d["gamma3"] - d["mu"]
-
-
-_A_CHAIN_STEPS = (
-    (3, _eq_objective(lambda t: t.b0), ("b0",)),
-    (4, _eq_objective(lambda t: t.c0 - t.beta2 * t.beta3), ("c0", "beta3", "beta2")),
-    (
-        5,
-        _eq_objective(lambda t: a_chain_quantities(t)["zeta"]),
-        ("delta3", "delta2", "rho3", "rho2", "rho23"),
-    ),
-    (
-        6,
-        _eq_objective(_gap4),
-        ("eps23", "eps2", "eps3", "sigma0", "sigma3", "delta2", "delta3"),
-    ),
-    (
-        7,
-        _eq_objective(lambda t: a_chain_quantities(t)["theta"]),
-        ("tau0", "tau3", "tau1", "tau2", "rho2", "rho3", "rho23"),
-    ),
-    (
-        8,
-        _eq_objective(_gap6),
-        ("lam0", "lam4", "lam1", "lam3", "lam2", "eps2", "eps3"),
-    ),
-)
-
-_A_TERMINATORS = {
-    2: lambda t: bool(t.b0),
-    3: lambda t: bool(t.c0 - t.beta2 * t.beta3),
-    4: lambda t: bool(a_chain_quantities(t)["zeta"]),
-    5: lambda t: bool(_gap4(t)),
-    6: lambda t: bool(a_chain_quantities(t)["theta"]),
-    7: lambda t: bool(_gap6(t)),
-}
-
-
 def _build_a(target: TypeTag, frozen, rng: random.Random):
+    """Zero criteria 0..n-3 for A_n; an exact A_n needs criterion n-2 nonzero."""
     builder = _Builder(rng, X2X3, frozen)
-    for threshold, objective, candidates in _A_CHAIN_STEPS:
-        if target.index < threshold:
-            break
+    for k, candidates in enumerate(_A_PROBES[: target.index - 2]):
+        objective = _criterion_defect(k)
         if objective(builder.quartic()) is None:
             continue
         if not builder.solve(objective, candidates):
             return None
-    if target.exact:
-        if not _A_TERMINATORS[target.index](coefficients(builder.quartic())):
-            return None
+    if target.exact and _criterion_defect(target.index - 2)(builder.quartic()) is None:
+        return None
     return builder.quartic()
 
 
@@ -392,10 +361,7 @@ def _build_a1(rng: random.Random):
         a_part = Polynomial.zero()
         for i in range(1, 4):
             for j in range(i, 4):
-                mono = [0, 0, 0, 0]
-                mono[i] += 1
-                mono[j] += 1
-                a_part = a_part + Polynomial.monomial(tuple(mono), _draw(rng))
+                a_part = a_part + Polynomial.monomial(quad_monomial(i, j), _draw(rng))
         if not a_part.is_zero() and quadratic_rank(a_part) == 3:
             return _Builder(rng, a_part).quartic()
 

@@ -20,8 +20,6 @@ from .field import GaussianRational, ONE, ZERO, format_coeff
 NVARS = 4
 VAR_NAMES = ("x0", "x1", "x2", "x3")
 
-Exponents = tuple  # 4-tuple of nonnegative ints
-
 
 class Polynomial:
     """Immutable sparse polynomial over GaussianRational."""
@@ -312,19 +310,6 @@ def dehomogenize(f: Polynomial, var: int) -> Polynomial:
             terms.pop(mono, None)
         else:
             terms[mono] = s
-    return _raw(terms)
-
-
-def homogenize(f: Polynomial, var: int, degree: int) -> Polynomial:
-    """Pad every term with x_var so that all terms reach ``degree``."""
-    terms = {}
-    for m, c in f.terms.items():
-        d = sum(m)
-        if d > degree or m[var]:
-            raise ValueError("polynomial does not homogenize to that degree")
-        m2 = list(m)
-        m2[var] = degree - d
-        terms[tuple(m2)] = c
     return _raw(terms)
 
 

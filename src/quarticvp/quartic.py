@@ -37,33 +37,13 @@ def mat_mul(a, b):
     )
 
 
-def mat_inverse(a):
-    """Exact inverse by Gauss-Jordan; raises on a singular matrix."""
-    n = len(a)
-    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [entry * inv for entry in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def mat_rank(a) -> int:
-    rows = [list(r) for r in a]
-    n, m = len(rows), len(rows[0])
+def _gauss_jordan(rows, width: int) -> int:
+    """Reduce ``rows`` in place on their first ``width`` columns; returns the rank."""
+    n = len(rows)
     rank = 0
-    col = 0
-    while rank < n and col < m:
+    for col in range(width):
         pivot = next((r for r in range(rank, n) if not rows[r][col].is_zero()), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = rows[rank][col].inverse()
@@ -73,27 +53,40 @@ def mat_rank(a) -> int:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
-        col += 1
     return rank
+
+
+def mat_inverse(a):
+    """Exact inverse by Gauss-Jordan; raises on a singular matrix."""
+    n = len(a)
+    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
+    if _gauss_jordan(work, n) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def mat_rank(a) -> int:
+    return _gauss_jordan([list(r) for r in a], len(a[0]))
 
 
 # -- quadratic forms in x1, x2, x3 ----------------------------------------------
 
 
+def quad_monomial(i: int, j: int) -> tuple:
+    """Exponents of the monomial x_i * x_j."""
+    mono = [0, 0, 0, 0]
+    mono[i] += 1
+    mono[j] += 1
+    return tuple(mono)
+
+
 def gram_matrix(q: Polynomial):
     """Symmetric 3x3 Gram matrix of a quadratic form in x1, x2, x3."""
     half = GaussianRational.of(1) / 2
-
-    def coeff(i, j):
-        mono = [0, 0, 0, 0]
-        mono[i] += 1
-        mono[j] += 1
-        return q.coefficient(tuple(mono))
-
     g = [[ZERO] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
-            c = coeff(i + 1, j + 1)
+            c = q.coefficient(quad_monomial(i + 1, j + 1))
             g[i][j] = c if i == j else c * half
     return tuple(tuple(row) for row in g)
 
@@ -116,13 +109,11 @@ def factor_rank2(q: Polynomial):
     Output is a pair of 3-vectors (f, g) over (x1, x2, x3) with
     _linear_form(f) * _linear_form(g) == q exactly.
     """
-    a = {(i, j): ZERO for i in range(3) for j in range(3)}
-    for i in range(3):
-        for j in range(i, 3):
-            mono = [0, 0, 0, 0]
-            mono[i + 1] += 1
-            mono[j + 1] += 1
-            a[(i, j)] = q.coefficient(tuple(mono))
+    a = {
+        (i, j): q.coefficient(quad_monomial(i + 1, j + 1))
+        for i in range(3)
+        for j in range(i, 3)
+    }
 
     diag = [a[(k, k)] for k in range(3)]
     if all(d.is_zero() for d in diag):
@@ -153,9 +144,9 @@ def factor_rank2(q: Polynomial):
     lpoly = _linear_form(lvec)
     residual = q - (lpoly * lpoly).scale(d)
     u, v = others
-    p = residual.coefficient(_sq_mono(u))
-    w = residual.coefficient(_cross_mono(u, v))
-    r = residual.coefficient(_sq_mono(v))
+    p = residual.coefficient(quad_monomial(u + 1, u + 1))
+    w = residual.coefficient(quad_monomial(u + 1, v + 1))
+    r = residual.coefficient(quad_monomial(v + 1, v + 1))
     # rank 2 forces the residual binary form to be c*M^2
     if not p.is_zero():
         c, mvec = p, [ZERO, ZERO, ZERO]
@@ -183,23 +174,10 @@ def factor_rank2(q: Polynomial):
     return f, g
 
 
-def _sq_mono(i):
-    mono = [0, 0, 0, 0]
-    mono[i + 1] = 2
-    return tuple(mono)
-
-
-def _cross_mono(i, j):
-    mono = [0, 0, 0, 0]
-    mono[i + 1] += 1
-    mono[j + 1] += 1
-    return tuple(mono)
-
-
 def rank1_square(q: Polynomial):
     """Write a rank-1 quadratic form as c * L^2 with L a rational 3-vector."""
     for k in range(3):
-        c = q.coefficient(_sq_mono(k))
+        c = q.coefficient(quad_monomial(k + 1, k + 1))
         if c.is_zero():
             continue
         lvec = [ZERO, ZERO, ZERO]
@@ -207,7 +185,7 @@ def rank1_square(q: Polynomial):
         for o in range(3):
             if o == k:
                 continue
-            lvec[o] = q.coefficient(_cross_mono(min(k, o), max(k, o))) / (c * 2)
+            lvec[o] = q.coefficient(quad_monomial(k + 1, o + 1)) / (c * 2)
         lpoly = _linear_form(lvec)
         if (lpoly * lpoly).scale(c) == q:
             return c, tuple(lvec)
@@ -254,7 +232,8 @@ class NormalizedQuartic:
     """A quartic x0^2*A + x0*B + C at P = (1:0:0:0), plus provenance.
 
     ``change`` is the substitution matrix that turns the original input
-    into this representative: F_stored(x) = F_input(change . x).
+    into this representative: F_stored(x) = F_input(change . x) up to a
+    constant factor (normalizing a rank-1 cone divides by one).
     """
 
     A: Polynomial
@@ -356,8 +335,9 @@ X3SQ = parse("x3^2")
 def normal_form(q: NormalizedQuartic):
     """Bring A to literally x2*x3 (rank 2) or x3^2 (rank 1).
 
-    Raises FieldExtensionRequired when the splitting needs a square root
-    missing from Q(i).  Rank-3 inputs are returned unchanged.
+    A rank-1 cone c*L^2 is reached by dividing the equation by c.  Raises
+    FieldExtensionRequired only for a rank-2 cone that does not split into
+    linear forms over Q(i).  Rank-3 inputs are returned unchanged.
     """
     rank = tangent_cone_rank(q)
     if rank == 3:
@@ -377,14 +357,14 @@ def normal_form(q: NormalizedQuartic):
     else:
         if q.A == X3SQ:
             return q, TangentConeForm(rank=1, change=mat_identity(3))
+        # A = c*L^2 with L rational; dividing the equation by c leaves the
+        # surface unchanged and needs no square root of c
         c, lvec = rank1_square(q.A)
-        s = sqrt_if_exists(c)
-        if s is None:
-            raise FieldExtensionRequired(
-                "the doubled line of the tangent cone is not rational over Q(i)"
-            )
-        form = tuple(s * v for v in lvec)
-        s3 = change_sending_forms([(form, 3)])
+        inv = c.inverse()
+        q = NormalizedQuartic(
+            A=q.A.scale(inv), B=q.B.scale(inv), C=q.C.scale(inv), change=q.change
+        )
+        s3 = change_sending_forms([(lvec, 3)])
         target = X3SQ
 
     m4 = extend_to_4x4(s3)

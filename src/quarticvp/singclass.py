@@ -2,8 +2,9 @@
 
 Two independent routes are implemented:
 
-* ``classify_a`` evaluates the closed-form criteria chain on the named
-  coefficients of a rank-2 quartic (one criterion per point blowup).
+* ``classify_a`` walks the closed-form criteria ladder ``a_criteria`` on
+  the named coefficients of a rank-2 quartic, mirroring the point blowups
+  of the resolution.
 * ``classify_local`` actually performs the blowups on a local equation,
   locating singular points on the exceptional curve with the Jacobian
   criterion and univariate gcds.  It is the engine behind the D-E
@@ -212,50 +213,36 @@ def a_chain_quantities(t: CoefficientTable) -> dict:
     }
 
 
+def a_criteria(t: CoefficientTable):
+    """The A_n criteria ladder, as (value, label when nonzero, label when zero).
+
+    Criterion k (in yield order) settles A_{k+2} when nonzero and A>=k+3
+    when zero, at criteria step (k+3)//2.  The chain quantities are computed
+    once, and only when a reader goes past the first two criteria.
+    """
+    yield t.b0, "b0 (*1)", "b0 (*1)"
+    yield t.c0 - t.beta2 * t.beta3, "c0 - beta2*beta3 (*2)", "c0 - beta2*beta3 (*2)"
+    d = a_chain_quantities(t)
+    yield d["zeta"], "zeta", "zeta (*3)"
+    yield d["xi2"] * d["xi3"] - d["alpha"], "xi2*xi3 - alpha (*4)", "xi2*xi3 - alpha (*4)"
+    yield d["theta"], "theta", "theta (*5)"
+    yield d["gamma2"] * d["gamma3"] - d["mu"], "gamma2*gamma3 - mu", "gamma2*gamma3 - mu"
+
+
 def classify_a(q: NormalizedQuartic):
     """A-family index of a rank-2 quartic in normal form (A = x2*x3).
 
-    Walks the criteria chain; each step settles two indices, mirroring one
+    Walks the criteria ladder; each step settles two indices, mirroring one
     point blowup of the resolution.
     """
     if q.A != X2X3:
         raise GeometryError("classify_a requires the normal form A = x2*x3")
-    t = coefficients(q)
     cert = Certificate()
-    qty = a_chain_quantities(t)
-
-    if t.b0:
-        cert.add("b0 (*1)", t.b0, "nonzero: A2", step=1)
-        return TypeTag("A", 2), cert
-    cert.add("b0 (*1)", t.b0, "zero: A>=3", step=1)
-
-    gap2 = t.c0 - t.beta2 * t.beta3
-    if gap2:
-        cert.add("c0 - beta2*beta3 (*2)", gap2, "nonzero: A3", step=2)
-        return TypeTag("A", 3), cert
-    cert.add("c0 - beta2*beta3 (*2)", gap2, "zero: A>=4", step=2)
-
-    if qty["zeta"]:
-        cert.add("zeta", qty["zeta"], "nonzero: A4", step=2)
-        return TypeTag("A", 4), cert
-    cert.add("zeta (*3)", qty["zeta"], "zero: A>=5", step=2)
-
-    gap4 = qty["xi2"] * qty["xi3"] - qty["alpha"]
-    if gap4:
-        cert.add("xi2*xi3 - alpha (*4)", gap4, "nonzero: A5", step=3)
-        return TypeTag("A", 5), cert
-    cert.add("xi2*xi3 - alpha (*4)", gap4, "zero: A>=6", step=3)
-
-    if qty["theta"]:
-        cert.add("theta", qty["theta"], "nonzero: A6", step=3)
-        return TypeTag("A", 6), cert
-    cert.add("theta (*5)", qty["theta"], "zero: A>=7", step=3)
-
-    gap6 = qty["gamma2"] * qty["gamma3"] - qty["mu"]
-    if gap6:
-        cert.add("gamma2*gamma3 - mu", gap6, "nonzero: A7", step=4)
-        return TypeTag("A", 7), cert
-    cert.add("gamma2*gamma3 - mu", gap6, "zero: A>=8", step=4)
+    for k, (value, nonzero, zero) in enumerate(a_criteria(coefficients(q))):
+        if value:
+            cert.add(nonzero, value, f"nonzero: A{k + 2}", step=(k + 3) // 2)
+            return TypeTag("A", k + 2), cert
+        cert.add(zero, value, f"zero: A>={k + 3}", step=(k + 3) // 2)
     return TypeTag("A", 8, exact=False), cert
 
 
@@ -437,10 +424,10 @@ def _classify_germ(g: Polynomial, cert: Certificate, depth: int) -> TypeTag:
     return _de_chain(g, cert, depth)
 
 
-def classify_local(g: Polynomial, depth: int = MAX_REFINE_DEPTH):
+def classify_local(g: Polynomial):
     """Classify a local double point at the origin by explicit blowups."""
     cert = Certificate()
-    tag = _classify_germ(g, cert, depth)
+    tag = _classify_germ(g, cert, MAX_REFINE_DEPTH)
     return tag, cert
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 from quarticvp import cli
@@ -102,3 +103,9 @@ def test_generate_specialized(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(quartic), "--weights", "1,2,3")
     assert code == 0
     assert "volume preserving" in out and "not volume preserving" not in out
+
+
+def test_selftest_quick(capsys):
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 0
+    assert re.search(r"^all \d+ checks passed$", out, re.MULTILINE)

@@ -5,6 +5,8 @@
   generator, the tables and the self-test for the subcommands that use them.
 * No module imports another module's underscore name; whatever two
   modules share is public in the module that defines it.
+* Only ``singclass`` evaluates the A_n chain quantities, so the criteria
+  ladder has one definition.
 """
 
 import ast
@@ -52,6 +54,21 @@ def test_no_private_names_cross_modules(path):
         if alias.name.startswith("_")
     ]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_singclass_evaluates_the_a_chain(path):
+    """The A_n criteria ladder lives in ``singclass.a_criteria``; other
+    modules read the ladder instead of recomputing its quantities."""
+    if path.name == "singclass.py":
+        return
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "a_chain_quantities"
+    ]
+    assert not calls, f"{path.name} calls a_chain_quantities at lines {calls}"
 
 
 def test_scan_sees_the_package():

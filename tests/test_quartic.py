@@ -4,6 +4,7 @@ import pytest
 
 from quarticvp.errors import FieldExtensionRequired, GeometryError
 from quarticvp.field import GaussianRational, ONE, ZERO
+from quarticvp.generator import GenSpec, generate
 from quarticvp.poly import linear_change, parse
 from quarticvp.quartic import (
     NormalizedQuartic,
@@ -12,6 +13,7 @@ from quarticvp.quartic import (
     normalize_at_point,
     tangent_cone_rank,
 )
+from quarticvp.singclass import TypeTag, classify
 
 from conftest import random_coeff
 
@@ -68,10 +70,16 @@ def test_normal_form_requires_field_extension():
     q = normalize_at_point(parse("x0^2*(x1^2 + 2*x2^2) + x0*x1^3 + x3^4"), P0)
     with pytest.raises(FieldExtensionRequired):
         normal_form(q)
-    # rank 1 with a nonsquare scale fails too
-    q = normalize_at_point(parse("x0^2*(2*x3^2) + x0*x1^3 + x2^4"), P0)
-    with pytest.raises(FieldExtensionRequired):
-        normal_form(q)
+
+
+def test_rank1_scale_needs_no_square_root():
+    # 2*F is the same surface as F, though 2 is not a square in Q(i)
+    q = generate(GenSpec(TypeTag("D", 4), "generic", 0))
+    scaled = normalize_at_point(q.full_equation().scale(2), P0)
+    assert normal_form(scaled)[0].full_equation() == q.full_equation()
+    (tag, cert), (tag2, cert2) = classify(q), classify(scaled)
+    assert tag2 == tag == TypeTag("D", 4)
+    assert cert2.to_json() == cert.to_json()
 
 
 def test_normal_form_rank1():

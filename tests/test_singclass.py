@@ -94,6 +94,46 @@ def test_step_counts_match_resolution_length():
         assert cert.steps_consumed() == (n + 1) // 2
 
 
+# (name, verdict, step) of each criterion's certificate entry when it
+# vanishes, and when it is nonzero and decides the type
+LADDER_ZERO = [
+    ("b0 (*1)", "zero: A>=3", 1),
+    ("c0 - beta2*beta3 (*2)", "zero: A>=4", 2),
+    ("zeta (*3)", "zero: A>=5", 2),
+    ("xi2*xi3 - alpha (*4)", "zero: A>=6", 3),
+    ("theta (*5)", "zero: A>=7", 3),
+    ("gamma2*gamma3 - mu", "zero: A>=8", 4),
+]
+LADDER_NONZERO = [
+    ("b0 (*1)", "nonzero: A2", 1),
+    ("c0 - beta2*beta3 (*2)", "nonzero: A3", 2),
+    ("zeta", "nonzero: A4", 2),
+    ("xi2*xi3 - alpha (*4)", "nonzero: A5", 3),
+    ("theta", "nonzero: A6", 3),
+    ("gamma2*gamma3 - mu", "nonzero: A7", 4),
+]
+
+
+def _criteria_entries(cert):
+    return [(e.name, e.verdict, e.step) for e in cert.entries]
+
+
+@pytest.mark.parametrize("index", range(2, 8))
+def test_criteria_certificate_labels(index):
+    from quarticvp.generator import GenSpec, generate
+
+    q = generate(GenSpec(TypeTag("A", index), "generic", 0))
+    tag, cert = classify(q)
+    assert tag == TypeTag("A", index)
+    assert _criteria_entries(cert) == LADDER_ZERO[: index - 2] + [LADDER_NONZERO[index - 2]]
+
+
+def test_a19_criteria_certificate_labels(a19_pair):
+    _, eq1 = a19_pair
+    _, cert = classify(normalize_at_point(eq1, P0))
+    assert _criteria_entries(cert) == LADDER_ZERO
+
+
 def test_swap_x2_x3_is_invisible():
     swaps = {
         "beta2": "beta3",
