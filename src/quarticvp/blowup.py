@@ -6,6 +6,8 @@ the coordinate line {x1 = x3 = 0} inserting (1,a,a+1), ..., (1,a,b).  The
 whole chain is volume preserving exactly when every step is, and a step is
 volume preserving exactly when its center sits on the strict transform
 with the crepant multiplicity: order 2 at a point, order 1 along the line.
+``toric_walk`` runs the chain for one ``a`` without end, so the chain of
+every (1,a,b) is one of its prefixes.
 
 Everything is tracked in the first affine chart, where every center of the
 chain is visible.  The chart maps live here too and are shared with the
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import count, islice
 
 from .errors import ReducibleInput
 from .poly import (
     Polynomial,
-    dehomogenize,
     divide_var_power,
     order_along,
     permute_variables,
@@ -37,12 +39,10 @@ CURVE = "curve"
 _X1 = Polynomial.variable(1)
 _X2 = Polynomial.variable(2)
 _X3 = Polynomial.variable(3)
-
-
-@dataclass(frozen=True)
-class RayStep:
-    ray: tuple
-    kind: str
+# the images of the chart maps, built once
+_POINT_IMAGES = {2: _X1 * _X2, 3: _X1 * _X3}
+_MIRROR_IMAGES = {1: _X1 * _X2, 3: _X2 * _X3}
+_LINE_IMAGES = {3: _X1 * _X3}
 
 
 @dataclass(frozen=True)
@@ -83,33 +83,22 @@ class VpTrace:
         }
 
 
-def ray_sequence(a: int, b: int) -> list:
-    """The rays inserted for weights (1, a, b), in insertion order."""
-    if a < 1 or b < a:
-        raise ValueError("weights must satisfy 1 <= a <= b")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"weights (1,{a},{b}) are not coprime")
-    steps = [RayStep((1, i, i), POINT) for i in range(1, a + 1)]
-    steps += [RayStep((1, a, i), CURVE) for i in range(a + 1, b + 1)]
-    return steps
-
-
 def point_chart(g: Polynomial) -> Polynomial:
     """First chart of the blowup at the origin, exceptional power removed."""
-    total = substitute(g, {2: _X1 * _X2, 3: _X1 * _X3})
+    total = substitute(g, _POINT_IMAGES)
     return divide_var_power(total, 1, var_power_content(total, 1))
 
 
 def mirror_chart(g: Polynomial) -> Polynomial:
     """Second chart, relabeled so the exceptional divisor is again {x1=0}."""
-    total = substitute(g, {1: _X1 * _X2, 3: _X2 * _X3})
+    total = substitute(g, _MIRROR_IMAGES)
     stripped = divide_var_power(total, 2, var_power_content(total, 2))
     return permute_variables(stripped, (0, 2, 1, 3))
 
 
 def line_chart(g: Polynomial) -> Polynomial:
     """Chart of the blowup of {x1 = x3 = 0}, exceptional power removed."""
-    total = substitute(g, {3: _X1 * _X3})
+    total = substitute(g, _LINE_IMAGES)
     return divide_var_power(total, 1, var_power_content(total, 1))
 
 
@@ -176,24 +165,33 @@ def weight_one_relabeling(assignment):
     return tuple(perm), canonical
 
 
-def run_toric_description(q: NormalizedQuartic, assignment) -> VpTrace:
-    """Replay the ray insertions for one weight assignment.
+def toric_walk(f: Polynomial, a: int):
+    """The steps of the chain (1,1,1), ..., (1,a,a), (1,a,a+1), ... without end.
 
-    A curve step whose center line has order >= 2 means the exceptional
-    divisor divides the expected strict transform, which forces the
-    quartic to be reducible or non-normal, so it is an input error rather
-    than a verdict.
+    Yields the verdict of each step against the current equation, then
+    moves on to its strict transform; the chain of the (1,a,b) blowup is
+    the first b records.  A curve step whose center line has order >= 2
+    means the exceptional divisor divides the expected strict transform,
+    which forces the quartic to be reducible or non-normal, so it raises
+    ReducibleInput rather than giving a verdict.
     """
-    perm, (_, a, b) = weight_one_relabeling(assignment)
-    f = permute_variables(dehomogenize(q.full_equation(), 0), perm)
-    trace = VpTrace(weights=(1, a, b), assignment=tuple(assignment))
-    for step in ray_sequence(a, b):
-        record = replace(step_vp(f, step.kind), ray=step.ray)
-        if record.kind == CURVE and record.non_canonical:
+    for i in count(1):
+        ray, kind = ((1, i, i), POINT) if i <= a else ((1, a, i), CURVE)
+        record = replace(step_vp(f, kind), ray=ray)
+        if kind == CURVE and record.non_canonical:
             raise ReducibleInput(
                 "the center line is multiple on the strict transform; "
                 "the quartic is reducible or non-normal"
             )
-        trace.steps.append(record)
-        f = step_transform(f, step.kind)
-    return trace
+        yield record
+        f = step_transform(f, kind)
+
+
+def run_toric_description(q: NormalizedQuartic, assignment) -> VpTrace:
+    """The toric chain of one weight assignment, step by step."""
+    perm, (_, a, b) = weight_one_relabeling(assignment)
+    if math.gcd(a, b) != 1:
+        raise ValueError(f"weights (1,{a},{b}) are not coprime")
+    f = permute_variables(q.affine_equation(), perm)
+    steps = list(islice(toric_walk(f, a), b))
+    return VpTrace(weights=(1, a, b), assignment=tuple(assignment), steps=steps)

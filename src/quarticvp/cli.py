@@ -4,7 +4,8 @@ Subcommands: classify, vp, check, generate, tables, selftest.  Input is a
 homogeneous quartic in the polynomial grammar, from a file or stdin.
 Exit codes distinguish the failure classes: 2 parse, 3 geometry (also
 generation failure and input outside the canonical range), 4 field
-extension, 5 consistency violation, 6 table mismatch.
+extension, 5 consistency violation (a failed internal cross-check), 6 table
+mismatch.
 """
 
 from __future__ import annotations

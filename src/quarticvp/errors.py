@@ -45,8 +45,10 @@ class ClassificationError(QuarticVPError):
 
 
 class ConsistencyViolation(QuarticVPError):
-    """The direct discrepancy formula and the stepwise toric description
-    disagreed.  This is an internal bug, never a property of the input."""
+    """An internal cross-check failed: the direct discrepancy formula and
+    the stepwise toric description disagreed, or a computed normal form or
+    factorization did not reproduce its input.  This is an internal bug,
+    never a property of the input."""
 
 
 class GenerationError(QuarticVPError):

@@ -82,9 +82,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """The field norm re^2 + im^2 (a nonnegative rational)."""
         return self.re * self.re + self.im * self.im

@@ -37,6 +37,7 @@ from .quartic import (
     X2X3,
     X3SQ,
     coefficients,
+    normalize_cone,
     quad_monomial,
     quadratic_rank,
     quartic_from_table,
@@ -47,7 +48,6 @@ from .singclass import (
     a_criteria,
     classify,
     line_slice,
-    normalize_rank1,
 )
 from .vpanalyzer import analyze_weight
 
@@ -436,7 +436,7 @@ def _walk_objective(chain, t0: GaussianRational):
             gap = b * b - c * 4
             if not gap.is_zero():
                 return ("rank1", stage), gap
-            germ = normalize_rank1(germ)
+            germ, _ = normalize_cone(germ)
             h = point_chart(germ)
             p = line_slice(h)
             if not p:

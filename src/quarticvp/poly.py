@@ -169,29 +169,6 @@ class Polynomial:
     def homogeneous_component(self, d: int) -> "Polynomial":
         return _raw({m: c for m, c in self.terms.items() if sum(m) == d})
 
-    def partial_derivative(self, var: int) -> "Polynomial":
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[var]
-            if not e:
-                continue
-            m2 = list(m)
-            m2[var] = e - 1
-            terms[tuple(m2)] = c * e
-        return _raw(terms)
-
-    def evaluate(self, point) -> GaussianRational:
-        """Value at a point given as 4 field elements."""
-        point = [GaussianRational.of(p) for p in point]
-        total = ZERO
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v = v * point[i] ** e
-            total = total + v
-        return total
-
     # -- formatting ---------------------------------------------------------
 
     def __str__(self):
@@ -233,7 +210,7 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
         parts = {}
         for i, g in images.items():
             ((mono, coeff),) = g.terms.items()
-            parts[i] = (mono, coeff)
+            parts[i] = (mono, None if coeff.is_one() else coeff)
         terms = {}
         for m, c in f.terms.items():
             out = [0, 0, 0, 0]
@@ -244,12 +221,17 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
                 mono, k = parts[i]
                 for j in range(NVARS):
                     out[j] += mono[j] * e
-                if not k.is_one():
+                if k is not None:
                     coeff = coeff * k**e
             mono = tuple(out)
-            s = terms.get(mono, ZERO) + coeff
+            # a chart map is injective on monomials: most images need no sum
+            s = terms.get(mono)
+            if s is None:
+                terms[mono] = coeff
+                continue
+            s = s + coeff
             if s.is_zero():
-                terms.pop(mono, None)
+                del terms[mono]
             else:
                 terms[mono] = s
         return _raw(terms)
@@ -369,35 +351,10 @@ def order_along(f: Polynomial, vars_: frozenset | set) -> int:
 # -- univariate layer ----------------------------------------------------------
 
 
-def univariate_coeffs(f: Polynomial, var: int) -> list:
-    """Dense coefficient list [c0, c1, ...] of a genuinely univariate input."""
-    coeffs = []
-    for m, c in f.terms.items():
-        if any(e and i != var for i, e in enumerate(m)):
-            raise ValueError(f"{f} is not univariate in x{var}")
-        e = m[var]
-        if e >= len(coeffs):
-            coeffs.extend([ZERO] * (e + 1 - len(coeffs)))
-        coeffs[e] = c
-    return _trim(coeffs)
-
-
 def _trim(coeffs: list) -> list:
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     return coeffs
-
-
-def poly_from_univariate(coeffs, var: int) -> Polynomial:
-    terms = {}
-    for e, c in enumerate(coeffs):
-        c = GaussianRational.of(c)
-        if c.is_zero():
-            continue
-        mono = [0, 0, 0, 0]
-        mono[var] = e
-        terms[tuple(mono)] = c
-    return _raw(terms)
 
 
 def univariate_derivative(coeffs: list) -> list:

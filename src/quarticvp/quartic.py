@@ -4,7 +4,8 @@ Given a homogeneous quartic F and a point P on it, the surface is moved to
 coordinates with P = (1:0:0:0) and written as x0^2*A + x0*B + C with A, B,
 C of degrees 2, 3, 4 in x1, x2, x3.  The rank of A sorts the singularity
 into the three branches the classifier knows (rank 3, rank 2, rank 1), and
-``normal_form`` brings A to literally x2*x3 or x3^2.
+``normalize_cone`` brings the tangent cone of a quartic (``normal_form``)
+or of a local germ to literally x2*x3 or x3^2.
 
 All changes of coordinates are recorded as an invertible 4x4 matrix so the
 normalized equation can be audited against the input.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldExtensionRequired, GeometryError
+from .errors import ConsistencyViolation, FieldExtensionRequired, GeometryError
 from .field import GaussianRational, ONE, ZERO, coeff_sort_key, sqrt_if_exists
 from .poly import Polynomial, format_poly, linear_change, parse, parse_coeff
 
@@ -170,7 +171,7 @@ def factor_rank2(q: Polynomial):
     f = tuple(d * (lv + s * mv) for lv, mv in zip(lvec, mvec))
     g = tuple(lv - s * mv for lv, mv in zip(lvec, mvec))
     if _linear_form(f) * _linear_form(g) != q:
-        raise ValueError("internal factorization check failed")
+        raise ConsistencyViolation("internal factorization check failed")
     return f, g
 
 
@@ -276,14 +277,6 @@ class NormalizedQuartic:
         )
 
 
-@dataclass(frozen=True)
-class TangentConeForm:
-    """Outcome of bringing A to x2*x3 (rank 2) or x3^2 (rank 1)."""
-
-    rank: int
-    change: tuple  # the 3x3 substitution applied to (x1, x2, x3)
-
-
 def normalize_at_point(f: Polynomial, point) -> NormalizedQuartic:
     """Move ``point`` to (1:0:0:0) and split off A, B, C.
 
@@ -332,52 +325,54 @@ X2X3 = parse("x2*x3")
 X3SQ = parse("x3^2")
 
 
-def normal_form(q: NormalizedQuartic):
-    """Bring A to literally x2*x3 (rank 2) or x3^2 (rank 1).
+def normalize_cone(g: Polynomial):
+    """Bring the quadratic part of ``g`` to literally x2*x3 or x3^2.
 
-    A rank-1 cone c*L^2 is reached by dividing the equation by c.  Raises
-    FieldExtensionRequired only for a rank-2 cone that does not split into
-    linear forms over Q(i).  Rank-3 inputs are returned unchanged.
+    The quadratic part must have rank 2 or 1.  A rank-2 cone is split into
+    two linear forms; the one with the larger leading coefficient becomes
+    x2.  A rank-1 cone c*L^2 is reached by dividing ``g`` by c, which
+    leaves the surface unchanged and needs no square root of c.  Raises
+    FieldExtensionRequired only for a rank-2 cone that does not split over
+    Q(i).  Returns the changed polynomial and the 4x4 substitution.
     """
-    rank = tangent_cone_rank(q)
-    if rank == 3:
-        return q, TangentConeForm(rank=3, change=mat_identity(3))
-    if rank == 2:
-        if q.A == X2X3:
-            return q, TangentConeForm(rank=2, change=mat_identity(3))
-        f, g = factor_rank2(q.A)
-        # deterministic orientation: the factor with the larger leading
-        # coefficient becomes x2
+    quad = g.homogeneous_component(2)
+    if quad == X2X3 or quad == X3SQ:
+        return g, mat_identity(4)
+    if quadratic_rank(quad) == 2:
+        f, h = factor_rank2(quad)
         lead_f = next(c for c in f if not c.is_zero())
-        lead_g = next(c for c in g if not c.is_zero())
-        if coeff_sort_key(lead_f) < coeff_sort_key(lead_g):
-            f, g = g, f
-        s3 = change_sending_forms([(f, 2), (g, 3)])
+        lead_h = next(c for c in h if not c.is_zero())
+        if coeff_sort_key(lead_f) < coeff_sort_key(lead_h):
+            f, h = h, f
+        s3 = change_sending_forms([(f, 2), (h, 3)])
         target = X2X3
     else:
-        if q.A == X3SQ:
-            return q, TangentConeForm(rank=1, change=mat_identity(3))
-        # A = c*L^2 with L rational; dividing the equation by c leaves the
-        # surface unchanged and needs no square root of c
-        c, lvec = rank1_square(q.A)
-        inv = c.inverse()
-        q = NormalizedQuartic(
-            A=q.A.scale(inv), B=q.B.scale(inv), C=q.C.scale(inv), change=q.change
-        )
+        c, lvec = rank1_square(quad)
+        g = g.scale(c.inverse())
         s3 = change_sending_forms([(lvec, 3)])
         target = X3SQ
-
     m4 = extend_to_4x4(s3)
-    a2 = linear_change(q.A, m4)
-    if a2 != target:
-        raise ValueError("internal normal form check failed")
-    result = NormalizedQuartic(
-        A=a2,
-        B=linear_change(q.B, m4),
-        C=linear_change(q.C, m4),
+    out = linear_change(g, m4)
+    if out.homogeneous_component(2) != target:
+        raise ConsistencyViolation("internal normal form check failed")
+    return out, m4
+
+
+def normal_form(q: NormalizedQuartic) -> NormalizedQuartic:
+    """Bring A to literally x2*x3 (rank 2) or x3^2 (rank 1).
+
+    Rank-3 inputs and inputs already in normal form are returned unchanged;
+    see ``normalize_cone`` for the rest.
+    """
+    if q.A == X2X3 or q.A == X3SQ or tangent_cone_rank(q) == 3:
+        return q
+    g, m4 = normalize_cone(q.affine_equation())
+    return NormalizedQuartic(
+        A=g.homogeneous_component(2),
+        B=g.homogeneous_component(3),
+        C=g.homogeneous_component(4),
         change=mat_mul(q.change, m4),
     )
-    return result, TangentConeForm(rank=rank, change=s3)
 
 
 # -- named coefficients -----------------------------------------------------------

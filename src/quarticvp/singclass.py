@@ -23,7 +23,6 @@ from .errors import ClassificationError, GeometryError, NonNormalInput
 from .field import ZERO
 from .poly import (
     Polynomial,
-    linear_change,
     squarefree_excess,
     substitute,
     unique_multiple_root,
@@ -33,13 +32,10 @@ from .quartic import (
     X2X3,
     X3SQ,
     CoefficientTable,
-    change_sending_forms,
     coefficients,
-    extend_to_4x4,
-    factor_rank2,
     normal_form,
+    normalize_cone,
     quadratic_rank,
-    rank1_square,
     tangent_cone_rank,
 )
 
@@ -271,36 +267,6 @@ def line_slice(h: Polynomial) -> list:
     return coeffs
 
 
-def _normalize_rank2(g: Polynomial) -> Polynomial:
-    """Linear change making the quadratic part literally x2*x3."""
-    quad = g.homogeneous_component(2)
-    if quad == X2X3:
-        return g
-    f, h = factor_rank2(quad)
-    s3 = change_sending_forms([(f, 2), (h, 3)])
-    out = linear_change(g, extend_to_4x4(s3))
-    if out.homogeneous_component(2) != X2X3:
-        raise ClassificationError("rank-2 normalization failed")
-    return out
-
-
-def normalize_rank1(g: Polynomial) -> Polynomial:
-    """Scale and change coordinates so the quadratic part is x3^2.
-
-    Local equations may be scaled freely, so no square root is needed.
-    """
-    quad = g.homogeneous_component(2)
-    if quad == X3SQ:
-        return g
-    c, lvec = rank1_square(quad)
-    g = g.scale(c.inverse())
-    s3 = change_sending_forms([(lvec, 3)])
-    out = linear_change(g, extend_to_4x4(s3))
-    if out.homogeneous_component(2) != X3SQ:
-        raise ClassificationError("rank-1 normalization failed")
-    return out
-
-
 def a_chain_walk(g: Polynomial):
     """Iterated point blowups of a germ with rank-2 tangent cone.
 
@@ -311,7 +277,7 @@ def a_chain_walk(g: Polynomial):
     defect means a node.  Otherwise the conic splits, and the next step
     shears its node back to the origin before blowing up again.
     """
-    g = _normalize_rank2(g)
+    g, _ = normalize_cone(g)
     while True:
         h = point_chart(g)
         quad = h.homogeneous_component(2)
@@ -339,7 +305,7 @@ def _a_chain(g: Polynomial, cert: Certificate):
 
 def _de_chain(g: Polynomial, cert: Certificate, depth: int):
     """Blowup of a rank-1 germ: coarse split plus recursive refinement."""
-    g = normalize_rank1(g)
+    g, _ = normalize_cone(g)
     h1 = point_chart(g)
     hw2 = mirror_chart(g)
     p = line_slice(h1)
@@ -520,7 +486,7 @@ def classify(q: NormalizedQuartic):
         # exceptional conic resolves the point at once
         cert.add("tangent cone rank", 3, "A1", step=1)
         return TypeTag("A", 1), cert
-    q, _ = normal_form(q)
+    q = normal_form(q)
     if rank == 2:
         return classify_a(q)
     return classify_de(q)

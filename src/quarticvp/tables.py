@@ -11,9 +11,9 @@ every cell where computation disagrees with the claim.
 from __future__ import annotations
 
 import json
-import math
+from itertools import islice
 
-from .blowup import ray_sequence, run_toric_description, step_transform, step_vp
+from .blowup import toric_walk
 from .errors import GenerationError, QuarticVPError, ReducibleInput
 
 # the per-ray condition tables and their helpers live with the generator;
@@ -28,7 +28,6 @@ from .generator import (
     generate,
     prior_conditions,
 )
-from .poly import dehomogenize
 from .singclass import TypeTag
 from .vpanalyzer import enumerate_vp, sarkisov_filter, vp_set
 
@@ -93,31 +92,16 @@ def claimed_link_table() -> dict:
 DEGENERATE_DE_RAYS = {(1, 1, 3), (1, 4, 6)}
 
 
-def _containing_weights(ray):
-    """The shortest coprime (a, b) whose ray sequence contains ``ray``."""
+def ray_walk(q, ray) -> list:
+    """The steps of the toric walk up to and including ``ray`` = (1, c, d)."""
     _, c, d = ray
-    if c == d:
-        return c, c + 1
-    b = d
-    while math.gcd(c, b) != 1:
-        b += 1
-    return c, b
+    return list(islice(toric_walk(q.affine_equation(), c), d))
 
 
 def ray_step_verdict(q, ray):
-    """The vp verdict of the single step inserting ``ray``.
-
-    The surrounding sequence is the shortest coprime one containing the
-    ray; earlier steps are replayed without judgement.
-    """
-    a, b = _containing_weights(ray)
-    f = dehomogenize(q.full_equation(), 0)
-    for step in ray_sequence(a, b):
-        record = step_vp(f, step.kind)
-        if step.ray == tuple(ray):
-            return record
-        f = step_transform(f, step.kind)
-    raise ValueError(f"ray {ray} does not occur in the ({a},{b}) sequence")
+    """The vp verdict of the single step inserting ``ray``; the earlier
+    steps are walked without judgement."""
+    return ray_walk(q, ray)[-1]
 
 
 # -- computed tables ---------------------------------------------------------------
@@ -194,9 +178,8 @@ def _toggle_check(family: str, ray, conditions, seed: int) -> dict:
     }
     conforming = conforming_instance(family, ray, seed)
     if degenerate:
-        a, b = _containing_weights(ray)
         try:
-            run_toric_description(conforming, (1, a, b))
+            ray_walk(conforming, ray)
             outcome["vp_when_met"] = False
             outcome["note"] = "no reducibility contradiction observed"
         except ReducibleInput:

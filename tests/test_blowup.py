@@ -1,12 +1,14 @@
+from itertools import islice
+
 import pytest
 
 from quarticvp.blowup import (
     CURVE,
     POINT,
-    ray_sequence,
     run_toric_description,
     step_transform,
     step_vp,
+    toric_walk,
     weight_one_relabeling,
 )
 from quarticvp.errors import ReducibleInput
@@ -17,19 +19,19 @@ P0 = (1, 0, 0, 0)
 
 
 def test_ray_sequences():
-    assert [(s.ray, s.kind) for s in ray_sequence(1, 1)] == [((1, 1, 1), POINT)]
-    assert [(s.ray, s.kind) for s in ray_sequence(2, 3)] == [
+    f = parse("x2*x3 + x1^5")
+    assert [(s.ray, s.kind) for s in islice(toric_walk(f, 1), 1)] == [((1, 1, 1), POINT)]
+    assert [(s.ray, s.kind) for s in islice(toric_walk(f, 2), 3)] == [
         ((1, 1, 1), POINT),
         ((1, 2, 2), POINT),
         ((1, 2, 3), CURVE),
     ]
-    steps = ray_sequence(2, 5)
+    q = normalize_at_point(parse("x0^2*x2*x3 + x0*x1^3 + x2^4"), P0)
+    steps = run_toric_description(q, (1, 2, 5)).steps
     assert [s.kind for s in steps] == [POINT, POINT, CURVE, CURVE, CURVE]
     assert steps[-1].ray == (1, 2, 5)
     with pytest.raises(ValueError):
-        ray_sequence(2, 4)
-    with pytest.raises(ValueError):
-        ray_sequence(3, 2)
+        run_toric_description(q, (1, 2, 4))
 
 
 def test_step_transform_examples():

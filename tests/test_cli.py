@@ -2,7 +2,7 @@ import json
 import re
 from pathlib import Path
 
-from quarticvp import cli
+from quarticvp import cli, quartic
 from quarticvp.cli import main
 from quarticvp.errors import ClassificationError
 
@@ -75,6 +75,16 @@ def test_classification_error_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "classify", A19)
     assert code == 3
     assert "cannot sit over A3" in err
+
+
+def test_internal_check_exit_code(capsys, tmp_path, monkeypatch):
+    # a broken coordinate change must surface as a bug, not as bad input
+    monkeypatch.setattr(quartic, "extend_to_4x4", lambda s3: quartic.mat_identity(4))
+    cone = tmp_path / "cone.txt"
+    cone.write_text("x0^2*(x1^2 + x2^2) + x0*x1^3 + x3^4")
+    code, _, err = run(capsys, "classify", str(cone))
+    assert code == 5
+    assert "internal normal form check failed" in err
 
 
 def test_point_flag(capsys, tmp_path):

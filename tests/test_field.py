@@ -21,7 +21,7 @@ def test_basic_products():
 
 def test_division_and_conjugate():
     a = GaussianRational(3, 4)
-    assert a * a.conjugate() == GaussianRational(25)
+    assert a * GaussianRational(3, -4) == GaussianRational(25)
     assert (a / a).is_one()
     with pytest.raises(ZeroDivisionError):
         a / ZERO

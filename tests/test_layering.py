@@ -7,6 +7,8 @@
   modules share is public in the module that defines it.
 * Only ``singclass`` evaluates the A_n chain quantities, so the criteria
   ladder has one definition.
+* Only ``quartic`` factors a tangent cone (``normalize_cone``), and only
+  ``blowup`` steps through a toric chain (``toric_walk``).
 """
 
 import ast
@@ -56,19 +58,38 @@ def test_no_private_names_cross_modules(path):
     assert not private, f"{path.name} imports private names: {private}"
 
 
+def _calls(path, names) -> list:
+    return [
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in names
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_singclass_evaluates_the_a_chain(path):
     """The A_n criteria ladder lives in ``singclass.a_criteria``; other
     modules read the ladder instead of recomputing its quantities."""
     if path.name == "singclass.py":
         return
-    calls = [
-        node.lineno
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "a_chain_quantities"
-    ]
-    assert not calls, f"{path.name} calls a_chain_quantities at lines {calls}"
+    calls = _calls(path, {"a_chain_quantities"})
+    assert not calls, f"{path.name} calls {calls}"
+
+
+# primitives with one calling module: the cone factorizations are read
+# through quartic.normalize_cone, the chain steps through blowup.toric_walk
+OWNED = {
+    "quartic.py": {"factor_rank2", "rank1_square", "change_sending_forms"},
+    "blowup.py": {"step_vp", "step_transform"},
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_normalizer_and_toric_walk_have_one_home(path):
+    foreign = set().union(*(names for owner, names in OWNED.items() if owner != path.name))
+    calls = _calls(path, foreign)
+    assert not calls, f"{path.name} calls {calls}"
 
 
 def test_scan_sees_the_package():

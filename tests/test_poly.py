@@ -12,10 +12,8 @@ from quarticvp.poly import (
     linear_change,
     order_along,
     parse,
-    poly_from_univariate,
     substitute,
     unique_multiple_root,
-    univariate_coeffs,
     univariate_derivative,
     univariate_gcd,
     var_power_content,
@@ -75,6 +73,13 @@ def test_substitution_examples():
     g = X2 * X2
     shifted = substitute(g, {2: X2 - Polynomial.constant(1)})
     assert shifted == X2 * X2 - X2.scale(2) + Polynomial.constant(1)
+
+
+def test_monomial_substitution_merges_and_cancels():
+    i_x1 = X1.scale(GaussianRational(0, 1))
+    assert substitute(parse("x1^2 - x2^2 + x3"), {2: i_x1}) == parse("2*x1^2 + x3")
+    assert substitute(parse("x1^2 + x2^2"), {2: i_x1}).is_zero()
+    assert substitute(parse("x1*x2 + 3*x2"), {1: Polynomial.constant(2)}) == X2.scale(5)
 
 
 def test_weighted_order_examples():
@@ -180,25 +185,22 @@ def test_substitution_inverse_identity():
         assert linear_change(linear_change(f, matrix), inverse) == f
 
 
+def _coeffs(*values):
+    return [GaussianRational(v) for v in values]
+
+
 def test_univariate_tools():
-    cubed = univariate_coeffs(parse("x1^3"), 1)
-    g = univariate_gcd(cubed, univariate_derivative(cubed))
-    assert poly_from_univariate(g, 1) == X1 * X1
+    cubed = _coeffs(0, 0, 0, 1)
+    assert univariate_gcd(cubed, univariate_derivative(cubed)) == _coeffs(0, 0, 1)
     assert unique_multiple_root(cubed) == GaussianRational(0)
 
-    squarefree = univariate_coeffs(parse("1 + x1^3"), 1)
-    assert univariate_gcd(squarefree, univariate_derivative(squarefree)) == [
-        GaussianRational(1)
-    ]
+    squarefree = _coeffs(1, 0, 0, 1)
+    assert univariate_gcd(squarefree, univariate_derivative(squarefree)) == _coeffs(1)
     assert unique_multiple_root(squarefree) is None
 
-    double = univariate_coeffs(parse("(x1 - 2)*(x1 - 2)*(x1 + 1)"), 1)
+    # (t - 2)^2 (t + 1) = t^3 - 3t^2 + 4
+    double = _coeffs(4, 0, -3, 1)
     assert unique_multiple_root(double) == GaussianRational(2)
-
-
-def test_univariate_rejects_multivariate():
-    with pytest.raises(ValueError):
-        univariate_coeffs(parse("x1 + x2"), 1)
 
 
 def test_thin_compositions():
@@ -207,8 +209,4 @@ def test_thin_compositions():
     assert f.homogeneous_component(5).is_zero()
     assert not f.is_homogeneous()
     assert parse("x1^2 + x2*x3").is_homogeneous()
-    assert f.partial_derivative(1) == parse("2*x1*x2")
-    value = f.evaluate((1, 2, GaussianRational(0, 1), 3))
-    # 4i + 3i + 4 = 4 + 7i
-    assert value == GaussianRational(4, 7)
     assert f.total_degree() == 3 and f.min_degree() == 0

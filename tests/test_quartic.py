@@ -9,8 +9,10 @@ from quarticvp.poly import linear_change, parse
 from quarticvp.quartic import (
     NormalizedQuartic,
     coefficients,
+    mat_identity,
     normal_form,
     normalize_at_point,
+    normalize_cone,
     tangent_cone_rank,
 )
 from quarticvp.singclass import TypeTag, classify
@@ -60,8 +62,7 @@ def test_tangent_cone_ranks():
 
 def test_normal_form_rank2_needs_i():
     q = normalize_at_point(parse("x0^2*(x1^2 + x2^2) + x0*x1^3 + x3^4"), P0)
-    q2, form = normal_form(q)
-    assert form.rank == 2
+    q2 = normal_form(q)
     assert q2.A == parse("x2*x3")
     assert linear_change(parse("x0^2*(x1^2 + x2^2) + x0*x1^3 + x3^4"), q2.change) == q2.full_equation()
 
@@ -76,7 +77,7 @@ def test_rank1_scale_needs_no_square_root():
     # 2*F is the same surface as F, though 2 is not a square in Q(i)
     q = generate(GenSpec(TypeTag("D", 4), "generic", 0))
     scaled = normalize_at_point(q.full_equation().scale(2), P0)
-    assert normal_form(scaled)[0].full_equation() == q.full_equation()
+    assert normal_form(scaled).full_equation() == q.full_equation()
     (tag, cert), (tag2, cert2) = classify(q), classify(scaled)
     assert tag2 == tag == TypeTag("D", 4)
     assert cert2.to_json() == cert.to_json()
@@ -86,9 +87,23 @@ def test_normal_form_rank1():
     q = normalize_at_point(
         parse("x0^2*(x1^2 + 2*x1*x3 + x3^2) + x0*x2^3 + x1^4"), P0
     )
-    q2, form = normal_form(q)
-    assert form.rank == 1
+    q2 = normal_form(q)
     assert q2.A == parse("x3^2")
+    assert normal_form(q2) is q2
+
+
+def test_normalize_cone_on_germs():
+    # a germ is normalized like a quartic and the substitution comes back
+    germ = parse("x1^2 + x2^2 + x1^3 + x3^4")
+    out, m4 = normalize_cone(germ)
+    assert out.homogeneous_component(2) == parse("x2*x3")
+    assert linear_change(germ, m4) == out
+    germ = parse("2*x1^2 + 4*x1*x3 + 2*x3^2 + x2^3")
+    out, m4 = normalize_cone(germ)
+    assert out.homogeneous_component(2) == parse("x3^2")
+    # the rank-1 cone 2*(x1 + x3)^2 is reached by dividing by 2
+    assert linear_change(germ, m4) == out.scale(2)
+    assert normalize_cone(out) == (out, mat_identity(4))
 
 
 def test_rank_invariant_under_point_fixing_changes():

@@ -11,6 +11,7 @@ from quarticvp.tables import (
     conforming_instance,
     prior_conditions,
     ray_step_verdict,
+    ray_walk,
 )
 
 P0 = (1, 0, 0, 0)
@@ -63,17 +64,14 @@ def test_condition_rows_toggle():
 def test_degenerate_rows_mark_reducibility():
     # on the two rays the condition table flags with
     # "x1 divides the strict transform", conforming instances make the
-    # whole trace abort with the reducibility contradiction
+    # walk abort with the reducibility contradiction
     import pytest
-    from quarticvp.blowup import run_toric_description
     from quarticvp.errors import ReducibleInput
-    from quarticvp.tables import _containing_weights
 
     for ray in DEGENERATE_DE_RAYS:
         q = conforming_instance("DE", ray, seed=0)
-        a, b = _containing_weights(ray)
         with pytest.raises(ReducibleInput):
-            run_toric_description(q, (1, a, b))
+            ray_walk(q, ray)
 
 
 def test_conforming_instances_meet_their_conditions():
@@ -83,3 +81,28 @@ def test_conforming_instances_meet_their_conditions():
     table = coefficients(q)
     for name in ("b0", "beta2", "c0", "rho2", "delta2"):
         assert getattr(table, name) == GaussianRational(0)
+
+
+def _slot(name):
+    """Exponents (e1, e2, e3) of the monomial a named coefficient sits on."""
+    from quarticvp.quartic import CoefficientTable
+
+    table = CoefficientTable(**{name: 1})
+    (mono,) = (table.reconstruct_b() + table.reconstruct_c()).terms
+    return mono[1:]
+
+
+def test_condition_tables_are_the_weighted_order_inequality():
+    # the conditions met up to ray w = (1,c,d) are exactly the named slots
+    # e with e . w < c + d: the step is vp iff wt_w(f) reaches c + d
+    from quarticvp.quartic import COEFF_NAMES
+
+    for table in (CONDITIONS_A, CONDITIONS_DE):
+        for ray, (own, _) in table.items():
+            _, c, d = ray
+            below = {
+                name
+                for name in COEFF_NAMES
+                if sum(w * e for w, e in zip(ray, _slot(name))) < c + d
+            }
+            assert set(prior_conditions(ray, table) + own) == below, ray
