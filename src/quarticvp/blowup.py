@@ -104,8 +104,6 @@ def line_chart(g: Polynomial) -> Polynomial:
 
 def step_transform(f: Polynomial, kind: str) -> Polynomial:
     """Strict transform of one chain step, in the first chart."""
-    if f.is_zero():
-        raise ValueError("cannot transform the zero polynomial")
     if kind == POINT:
         strict = point_chart(f)
     elif kind == CURVE:
@@ -127,8 +125,6 @@ def step_vp(f: Polynomial, kind: str) -> StepRecord:
     multiplicity exactly 1.  Higher orders leave the canonical regime and
     are flagged, never silently accepted.
     """
-    if f.is_zero():
-        raise ValueError("cannot test the zero polynomial")
     if kind == POINT:
         order = f.min_degree()
         expected = 2

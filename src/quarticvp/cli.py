@@ -2,44 +2,51 @@
 
 Subcommands: classify, vp, check, generate, tables, selftest.  Input is a
 homogeneous quartic in the polynomial grammar, from a file or stdin.
-Exit codes distinguish the failure classes: 2 parse, 3 geometry (also
-generation failure and input outside the canonical range), 4 field
-extension, 5 consistency violation (a failed internal cross-check), 6 table
-mismatch.
+Arguments are checked before the engine runs; a bad one exits 2 with a
+usage message.  A package error exits with the code its class carries
+(errors.py): 2 parse, 3 any other refusal, 4 field extension, 5
+consistency violation.  A ValueError that escapes the engine is a bug and
+exits 5 as an internal error.  6 is a table mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
-from .errors import (
-    ClassificationError,
-    ConsistencyViolation,
-    FieldExtensionRequired,
-    GenerationError,
-    GeometryError,
-    PolyParseError,
-)
+from .errors import ConsistencyViolation, PolyParseError, QuarticVPError
 from .field import ONE, ZERO
 from .poly import format_poly, parse, parse_coeff
 from .quartic import normalize_at_point
 from .singclass import TypeTag, classification_to_json, classify
 from .vpanalyzer import DEFAULT_MAX_B, analyze_weight, enumerate_vp, sarkisov_filter
 
-EXIT_PARSE = 2
-EXIT_GEOMETRY = 3
-EXIT_FIELD = 4
-EXIT_CONSISTENCY = 5
 EXIT_TABLES = 6
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+def _weights(text: str) -> tuple:
+    """``1,a,b`` or ``a,b`` (``:`` also separates) as (1, a, b), a <= b."""
+    m = re.fullmatch(r"(?:1[,:])?(\d+)[,:](\d+)", text)
+    a, b = sorted(map(int, m.groups())) if m else (0, 0)
+    if a < 1 or math.gcd(a, b) != 1:
+        raise argparse.ArgumentTypeError(
+            f"expected 1,a,b with coprime positive integers a and b, not {text!r}"
+        )
+    return (1, a, b)
+
+
+def _generator_target(text: str) -> TypeTag:
+    """A generator target: ``A4``, ``D7``, ``E8``, or ``A8+`` for A>=8."""
+    from .generator import GENERATOR_TARGETS
+
+    forms = {f"{t.family}{t.index}{'' if t.exact else '+'}": t for t in GENERATOR_TARGETS}
+    if text.upper() not in forms:
+        raise argparse.ArgumentTypeError(f"expected one of {', '.join(forms)}, not {text!r}")
+    return forms[text.upper()]
 
 
 def _parse_point(text: str):
@@ -50,7 +57,8 @@ def _parse_point(text: str):
 
 
 def _load_quartic(args):
-    f = parse(_read_input(args.input))
+    with args.input:
+        f = parse(args.input.read())
     point = _parse_point(args.point) if args.point else (ONE, ZERO, ZERO, ZERO)
     return normalize_at_point(f, point)
 
@@ -96,12 +104,7 @@ def cmd_vp(args) -> int:
 
 def cmd_check(args) -> int:
     q = _load_quartic(args)
-    parts = [int(x) for x in args.weights.replace(",", ":").split(":")]
-    if len(parts) == 3:
-        if parts[0] != 1:
-            raise GeometryError("weights must be of the form 1,a,b")
-        parts = parts[1:]
-    a, b = sorted(parts)
+    _, a, b = args.weights
     verdict = analyze_weight(q, a, b)
     if args.json:
         data = verdict.to_json()
@@ -126,16 +129,11 @@ def cmd_generate(args) -> int:
         items = corpus(seed=args.seed)
         sys.stdout.write(corpus_jsonl(items))
         return 0
-    if not args.type:
-        raise ValueError("--type is required unless --corpus is given")
-    family = args.type[0].upper()
-    index = int(args.type.rstrip("+")[1:])
-    exact = not args.type.endswith("+")
-    target = TypeTag(family, index, exact=exact)
-    mode = "generic"
-    if args.specialize:
-        mode = tuple(int(x) for x in args.specialize.replace(",", ":").split(":"))
-    q = generate(GenSpec(target, mode, args.seed))
+    try:
+        spec = GenSpec(args.type, args.specialize or "generic", args.seed)
+    except ValueError as exc:  # the weights are not a special stratum of the type
+        args.usage_error(str(exc))
+    q = generate(spec)
     if args.json:
         print(json.dumps(q.to_json(), indent=2))
     else:
@@ -171,7 +169,7 @@ def cmd_selftest(args) -> int:
         print(line)
     if report.failures:
         print(f"FAILED: {report.failures} problem(s)")
-        return EXIT_CONSISTENCY
+        return ConsistencyViolation.exit_code
     print(f"all {report.checks} checks passed")
     return 0
 
@@ -187,7 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):
-        p.add_argument("input", help="quartic file in the polynomial grammar, or - for stdin")
+        p.add_argument(
+            "input",
+            type=argparse.FileType("r"),
+            help="quartic file in the polynomial grammar, or - for stdin",
+        )
         p.add_argument("--point", help="marked point p0:p1:p2:p3 (default 1:0:0:0)")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -204,16 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="analyze a single weight triple")
     add_input(p)
-    p.add_argument("--weights", required=True, help="e.g. 1,2,3")
+    p.add_argument("--weights", required=True, type=_weights, help="e.g. 1,2,3")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("generate", help="emit a witness quartic")
-    p.add_argument("--type", help="e.g. A4, D7, E8, A8+ for A>=8")
-    p.add_argument("--specialize", help="weight triple, e.g. 1,2,3")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--type", type=_generator_target, help="e.g. A4, D7, E8, A8+ for A>=8")
+    what.add_argument("--corpus", action="store_true", help="emit the whole corpus as JSON lines")
+    p.add_argument("--specialize", type=_weights, help="weight triple, e.g. 1,2,3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corpus", action="store_true", help="emit the whole corpus as JSON lines")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, usage_error=p.error)
 
     p = sub.add_parser("tables", help="recompute the result tables and compare")
     p.add_argument("--out", help="directory for the table files")
@@ -232,18 +235,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PolyParseError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (GeometryError, GenerationError, ClassificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except FieldExtensionRequired as exc:
-        print(f"field extension required: {exc}", file=sys.stderr)
-        return EXIT_FIELD
-    except ConsistencyViolation as exc:
-        print(f"consistency violation: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
+    except (QuarticVPError, ConsistencyViolation) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:  # no refusal raises one, so it is a bug
+        print(f"internal error: {exc}", file=sys.stderr)
+        return ConsistencyViolation.exit_code
 
 
 if __name__ == "__main__":

@@ -1,17 +1,24 @@
 """Error types shared across the package.
 
-The command line maps these classes to exit codes (the EXIT_* constants in
-cli.py), so callers can distinguish bad syntax from bad geometry from
-genuine bugs.
+Every class carries the command line's exit code and stderr label.
+``QuarticVPError`` is the base of the refusals (exit 3 unless a subclass
+says otherwise); ``ConsistencyViolation`` is a bug (exit 5) and sits outside
+it, so an ``except QuarticVPError`` never catches a bug.
 """
 
 
 class QuarticVPError(Exception):
-    """Base class for all package errors."""
+    """Base class of the refusals: inputs the engine does not decide."""
+
+    exit_code = 3
+    label = "error"
 
 
 class PolyParseError(QuarticVPError):
     """Malformed polynomial text.  Carries the byte offset of the failure."""
+
+    exit_code = 2
+    label = "parse error"
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
@@ -38,17 +45,23 @@ class FieldExtensionRequired(QuarticVPError):
     """A rank-2 tangent cone does not split into linear forms over Q(i):
     the square root it needs does not exist there."""
 
+    exit_code = 4
+    label = "field extension required"
+
 
 class ClassificationError(QuarticVPError):
     """The refinement walked into a configuration no Du Val singularity
     produces; the input is outside the canonical range."""
 
 
-class ConsistencyViolation(QuarticVPError):
+class ConsistencyViolation(Exception):
     """An internal cross-check failed: the direct discrepancy formula and
     the stepwise toric description disagreed, or a computed normal form or
     factorization did not reproduce its input.  This is an internal bug,
     never a property of the input."""
+
+    exit_code = 5
+    label = "consistency violation"
 
 
 class GenerationError(QuarticVPError):

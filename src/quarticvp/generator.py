@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .blowup import mirror_chart, point_chart
-from .errors import ConsistencyViolation, GenerationError, QuarticVPError
+from .errors import GenerationError, QuarticVPError
 from .field import GaussianRational, ONE, ZERO, sqrt_if_exists
 from .poly import Polynomial, substitute
 from .quartic import (
@@ -224,8 +224,7 @@ class _Builder:
         """Zero ``objective(quartic)`` by adjusting one free coefficient.
 
         ``objective`` returns None when satisfied, else the defect value.
-        A probe the objective refuses (a package error other than a
-        ConsistencyViolation, or a ValueError) is skipped.
+        A probe the objective refuses (raises a QuarticVPError) is skipped.
         """
 
         def value_at(name, v):
@@ -233,9 +232,7 @@ class _Builder:
             self.values[name] = v
             try:
                 return objective(self.quartic())
-            except ConsistencyViolation:
-                raise
-            except (QuarticVPError, ValueError):
+            except QuarticVPError:
                 return _REFUSED
             finally:
                 self.values[name] = old
@@ -551,9 +548,7 @@ def _build_de(target: TypeTag, frozen, rng: random.Random):
     for _ in range(24):
         try:
             defect = objective(builder.quartic())
-        except ConsistencyViolation:
-            raise
-        except (QuarticVPError, ValueError):
+        except QuarticVPError:
             break
         if defect is None:
             break
@@ -620,9 +615,7 @@ def generate(spec: GenSpec) -> NormalizedQuartic:
                 if not analyze_weight(q, a, b).vp:
                     continue
             return q
-        except ConsistencyViolation:
-            raise
-        except (QuarticVPError, ValueError):
+        except QuarticVPError:
             continue
     raise GenerationError(
         f"could not realize {spec.label()} within {MAX_RETRIES} attempts"

@@ -95,8 +95,6 @@ def distinct_assignments(a: int, b: int) -> list:
 
 def analyze_weight(q: NormalizedQuartic, a: int, b: int) -> WeightVerdict:
     """Evaluate one weight triple by both methods and insist they agree."""
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"weights (1,{a},{b}) are not coprime")
     verdict = WeightVerdict(a=a, b=b)
     for assignment in distinct_assignments(a, b):
         disc = direct_vp(q, assignment)

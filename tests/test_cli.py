@@ -2,9 +2,11 @@ import json
 import re
 from pathlib import Path
 
-from quarticvp import cli, quartic
+import pytest
+
+from quarticvp import cli, errors, quartic
 from quarticvp.cli import main
-from quarticvp.errors import ClassificationError
+from quarticvp.errors import PolyParseError
 
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "quarticvp" / "data"
 A19 = str(FIXTURE / "a19_tangent_cone_form.txt")
@@ -67,14 +69,63 @@ def test_field_extension_exit_code(capsys, tmp_path):
     assert code == 4
 
 
-def test_classification_error_exit_code(capsys, monkeypatch):
-    def refuse(q):
-        raise ClassificationError("an E-type point cannot sit over A3")
+# (exit code, stderr prefix) of every class in errors.py, and of a
+# ValueError escaping the engine, which is a bug
+EXITS = {
+    "PolyParseError": (2, "parse error: "),
+    "QuarticVPError": (3, "error: "),
+    "GeometryError": (3, "error: "),
+    "ReducibleInput": (3, "error: "),
+    "NonNormalInput": (3, "error: "),
+    "ClassificationError": (3, "error: "),
+    "GenerationError": (3, "error: "),
+    "FieldExtensionRequired": (4, "field extension required: "),
+    "ConsistencyViolation": (5, "consistency violation: "),
+    "ValueError": (5, "internal error: "),
+}
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)
+]
 
-    monkeypatch.setattr(cli, "classify", refuse)
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES + [ValueError], ids=lambda cls: cls.__name__)
+def test_error_class_exit_code(capsys, monkeypatch, cls):
+    message = "an E-type point cannot sit over A3"
+
+    def fail(q):
+        raise cls(message, 0) if cls is PolyParseError else cls(message)
+
+    monkeypatch.setattr(cli, "classify", fail)
+    exit_code, prefix = EXITS[cls.__name__]
     code, _, err = run(capsys, "classify", A19)
-    assert code == 3
-    assert "cannot sit over A3" in err
+    assert code == exit_code
+    assert err.startswith(prefix + message)
+
+
+# each bad argument is refused before the engine runs
+BAD_ARGUMENTS = {
+    "weights-not-1ab": (["check", A19, "--weights", "2,3,4"], "expected 1,a,b"),
+    "weights-four": (["check", A19, "--weights", "1,2,3,4"], "expected 1,a,b"),
+    "weights-not-int": (["check", A19, "--weights", "1,x,3"], "expected 1,a,b"),
+    "weights-not-coprime": (["check", A19, "--weights", "1,2,4"], "expected 1,a,b"),
+    "type-unknown": (["generate", "--type", "Q5"], "expected one of A1, A2,"),
+    "type-not-generated": (["generate", "--type", "D11"], "expected one of A1, A2,"),
+    "type-missing": (["generate"], "one of the arguments --type --corpus is required"),
+    "specialize-not-special": (
+        ["generate", "--type", "A2", "--specialize", "1,1,3"],
+        "weights (1, 1, 3) are not a special stratum of A2",
+    ),
+    "specialize-not-int": (["generate", "--type", "A4", "--specialize", "1,x,3"], "expected 1,a,b"),
+    "input-missing": (["classify", str(FIXTURE / "missing.txt")], "can't open"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_internal_check_exit_code(capsys, tmp_path, monkeypatch):

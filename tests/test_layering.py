@@ -9,6 +9,9 @@
   ladder has one definition.
 * Only ``quartic`` factors a tangent cone (``normalize_cone``), and only
   ``blowup`` steps through a toric chain (``toric_walk``).
+* Only ``cli`` catches a bug (``ValueError``, ``ConsistencyViolation``, or
+  anything as broad as ``Exception``); every other catch site catches
+  refusals (``QuarticVPError`` and its subclasses) only.
 """
 
 import ast
@@ -90,6 +93,20 @@ def test_normalizer_and_toric_walk_have_one_home(path):
     foreign = set().union(*(names for owner, names in OWNED.items() if owner != path.name))
     calls = _calls(path, foreign)
     assert not calls, f"{path.name} calls {calls}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_names_bugs_in_except_clauses(path):
+    if path.name == "cli.py":
+        return
+    bugs = {"ValueError", "ConsistencyViolation", "Exception", "BaseException", "bare except"}
+    named = []
+    for handler in ast.walk(ast.parse(path.read_text())):
+        if isinstance(handler, ast.ExceptHandler):
+            nodes = ast.walk(handler.type) if handler.type else ()
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in nodes} or {"bare except"}
+            named += [f"{name} (line {handler.lineno})" for name in sorted(names & bugs)]
+    assert not named, f"{path.name} catches {named}"
 
 
 def test_scan_sees_the_package():

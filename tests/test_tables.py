@@ -1,3 +1,7 @@
+import pytest
+
+from quarticvp import tables
+from quarticvp.errors import ConsistencyViolation
 from quarticvp.field import GaussianRational
 from quarticvp.poly import parse
 from quarticvp.quartic import normalize_at_point
@@ -59,6 +63,21 @@ def test_condition_rows_toggle():
         for ray, outcome in compute_condition_table(family, seed=1).items():
             assert outcome["toggles_flip"], (family, ray, outcome)
             assert outcome["vp_when_met"], (family, ray, outcome)
+
+
+def test_toggle_check_never_records_a_bug(monkeypatch):
+    # a failed cross-check on a toggled instance is a bug, not a row note
+    real = tables.ray_step_verdict
+    conforming = conforming_instance("A", (1, 2, 3), seed=0)
+
+    def verdict(q, ray):
+        if tuple(ray) == (1, 2, 3) and q != conforming:
+            raise ConsistencyViolation("direct and stepwise routes disagree")
+        return real(q, ray)
+
+    monkeypatch.setattr(tables, "ray_step_verdict", verdict)
+    with pytest.raises(ConsistencyViolation):
+        tables.compute_condition_table("A")
 
 
 def test_degenerate_rows_mark_reducibility():
