@@ -164,13 +164,16 @@ def cmd_tables(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest
 
-    report = selftest.run(seed=args.seed, quick=args.quick)
-    for line in report.lines:
-        print(line)
-    if report.failures:
-        print(f"FAILED: {report.failures} problem(s)")
+    results = selftest.run(seed=args.seed, quick=args.quick)
+    for label, failures in results:
+        print(f"[{'FAIL' if failures else 'ok'}] {label}")
+        for failure in failures:
+            print(f"    {failure}")
+    failed = sum(1 for _, failures in results if failures)
+    if failed:
+        print(f"FAILED: {failed} check(s)")
         return ConsistencyViolation.exit_code
-    print(f"all {report.checks} checks passed")
+    print(f"all {len(results)} checks passed")
     return 0
 
 
@@ -223,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("selftest", help="run the invariant suites")
+    p = sub.add_parser(
+        "selftest", help="acceptance criteria 1-3 and 6-9 on a seeded sample"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true", help="smaller sample sizes")
     p.set_defaults(func=cmd_selftest)

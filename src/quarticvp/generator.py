@@ -169,6 +169,8 @@ class GenSpec:
     seed: int
 
     def __post_init__(self):
+        if self.target not in GENERATOR_TARGETS:
+            raise ValueError(f"no generator for {self.target.label()}")
         if self.mode != "generic":
             allowed = COLORED_WEIGHTS.get((self.target.family, self.target.index), ())
             if tuple(self.mode) not in allowed:

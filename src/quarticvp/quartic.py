@@ -458,9 +458,6 @@ class CoefficientTable:
         nonzero = {n: str(getattr(self, n)) for n in COEFF_NAMES if getattr(self, n)}
         return f"CoefficientTable({nonzero})"
 
-    def as_dict(self) -> dict:
-        return {n: getattr(self, n) for n in COEFF_NAMES}
-
     def reconstruct_b(self) -> Polynomial:
         terms = {}
         for name, (e1, e2, e3) in _B_SLOTS.items():

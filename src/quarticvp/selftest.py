@@ -1,102 +1,168 @@
-"""Built-in invariant suites behind the ``selftest`` CLI command.
+"""The acceptance checks shared by the test suite and ``quarticvp selftest``.
 
-These repeat the heart of the test suite on a fresh seeded corpus so a
-deployed build can be audited without the development environment: the
-two vp methods must agree everywhere, the A19 fixture must reproduce, and
-the classification bounds must hold.
+Each check is a plain function that returns its list of failures, empty
+when it passes.  ``tests/test_acceptance.py`` runs them on the acceptance
+sample; ``run`` runs them on a fresh seeded sample, so a deployed build can
+be audited without the development environment.  The claimed-table
+comparisons (criteria 4 and 5) are ``quarticvp tables``; the kernel
+properties on random polynomials (criterion 10) stay in the test suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from . import fixtures
 from .errors import GenerationError
 from .generator import GENERATOR_TARGETS, GenSpec, generate
 from .poly import format_poly, parse
 from .quartic import normalize_at_point
-from .singclass import classify
-from .vpanalyzer import enumerate_vp
+from .singclass import TypeTag, classify
+from .tables import compute_condition_table
+from .vpanalyzer import enumerate_vp, vp_set
+
+LABELS = {
+    "a19_classification": "A19 fixture classifies as A>=8",
+    "a19_vp_set": "A19 vp weights are exactly (1,1,1),(1,1,2)",
+    "a19_coordinate_change": "recorded coordinate change is term-for-term exact",
+    "key_lemma": "stepwise vp iff direct discrepancy zero",
+    "bounds": "a <= ceil(n/2), a+b <= n+1 on A_n; discrepancies >= 0",
+    "condition_tables": "condition tables: met iff vp, single toggles flip",
+    "resolution_counts": "criteria step counts and refinement chains",
+    "text_round_trips": "witness text parses back to the same equation",
+}
+
+# D-E refinement steps the classifier certificate records per type
+REFINEMENT_CHAINS = {
+    ("D", 5): ["D5 <- A3"],
+    ("D", 6): ["D6 <- D4"],
+    ("D", 7): ["D5 <- A3", "D7 <- D5"],
+    ("D", 8): ["D6 <- D4", "D8 <- D6"],
+    ("D", 9): ["D5 <- A3", "D7 <- D5", "D9 <- D7"],
+    ("D", 10): ["D6 <- D4", "D8 <- D6", "D10 <- D8"],
+    ("E", 6): ["E6 <- A5"],
+    ("E", 7): ["D6 <- D4", "E7 <- D6"],
+    ("E", 8): ["D6 <- D4", "E7 <- D6", "E8 <- E7"],
+}
 
 
-@dataclass
-class Report:
-    lines: list = field(default_factory=list)
-    checks: int = 0
-    failures: int = 0
-
-    def record(self, label: str, ok: bool, detail: str = ""):
-        self.checks += 1
-        if not ok:
-            self.failures += 1
-        status = "ok" if ok else "FAIL"
-        suffix = f"  ({detail})" if detail else ""
-        self.lines.append(f"[{status}] {label}{suffix}")
+def _a19():
+    return normalize_at_point(fixtures.a19_tangent_cone_form(), (1, 0, 0, 0))
 
 
-def run(seed: int = 0, quick: bool = False) -> Report:
-    report = Report()
+def a19_classification() -> list:
+    tag, _ = classify(_a19())
+    if tag != TypeTag("A", 8, exact=False):
+        return [f"classified {tag.label()}, expected A>=8"]
+    return []
 
-    # the recorded coordinate change must reproduce the fixture exactly
+
+def a19_vp_set() -> list:
+    weights = vp_set(enumerate_vp(_a19(), max_a=4, max_b=12))
+    if weights != {(1, 1, 1), (1, 1, 2)}:
+        return [f"vp set {sorted(weights)}"]
+    return []
+
+
+def a19_coordinate_change() -> list:
     image = fixtures.a19_coordinate_change(fixtures.a19_original())
-    report.record(
-        "A19 coordinate change is exact",
-        image == fixtures.a19_tangent_cone_form(),
-    )
+    if image != fixtures.a19_tangent_cone_form():
+        return ["substitution image differs from the fixture"]
+    return []
 
-    q19 = normalize_at_point(fixtures.a19_tangent_cone_form(), (1, 0, 0, 0))
-    tag19, _ = classify(q19)
-    report.record("A19 fixture classifies as A>=8", tag19.label() == "A>=8")
-    vp19 = {v.weights for v in enumerate_vp(q19, max_a=4, max_b=12) if v.vp}
-    report.record(
-        "A19 vp weights are (1,1,1) and (1,1,2)",
-        vp19 == {(1, 1, 1), (1, 1, 2)},
-        detail=str(sorted(vp19)),
-    )
 
-    seeds = 1 if quick else 2
-    agree = 0
+def key_lemma(sweep) -> list:
+    """``sweep`` is a list of (spec, weight verdicts); the Key Lemma says
+    the stepwise chain is vp exactly when the direct discrepancy is 0."""
+    return [
+        f"{spec.label()} {result.assignment}"
+        for spec, verdicts in sweep
+        for verdict in verdicts
+        for result in verdict.results
+        if (result.discrepancy == 0) != result.stepwise_vp
+    ]
+
+
+def bounds(sweep) -> list:
+    failures = []
+    for spec, verdicts in sweep:
+        for verdict in verdicts:
+            for result in verdict.results:
+                if result.discrepancy < 0:
+                    failures.append(
+                        f"{spec.label()} {result.assignment}: negative discrepancy"
+                    )
+        if spec.target.family == "A" and spec.target.exact:
+            n = spec.target.index
+            for verdict in verdicts:
+                if verdict.vp and not (
+                    verdict.a <= (n + 1) // 2 and verdict.a + verdict.b <= n + 1
+                ):
+                    failures.append(f"{spec.label()}: vp weight {verdict.weights}")
+    return failures
+
+
+def condition_tables(trials) -> list:
+    failures = []
+    for family in ("A", "DE"):
+        for trial in trials:
+            for ray, outcome in compute_condition_table(family, seed=trial).items():
+                if not outcome["vp_when_met"]:
+                    failures.append(f"{family} {ray} trial {trial}: conforming not vp")
+                if not outcome["toggles_flip"]:
+                    failures.append(f"{family} {ray} trial {trial}: {outcome['note']}")
+    return failures
+
+
+def resolution_counts(items) -> list:
+    """A_n (n <= 7) takes ceil(n/2) criteria steps; D-E points refine
+    along ``REFINEMENT_CHAINS``.  ``items`` are (spec, witness) pairs."""
+    failures = []
+    for spec, q in items:
+        _, cert = classify(q)
+        t = spec.target
+        if t.family == "A" and t.exact and t.index <= 7:
+            expected = (t.index + 1) // 2
+            if cert.steps_consumed() != expected:
+                failures.append(f"{spec.label()}: {cert.steps_consumed()} steps != {expected}")
+        chain = REFINEMENT_CHAINS.get((t.family, t.index))
+        if chain is not None and cert.refinement_chain() != chain:
+            failures.append(f"{spec.label()}: {cert.refinement_chain()}")
+    return failures
+
+
+def text_round_trips(items) -> list:
+    return [
+        f"{spec.label()}: text does not parse back"
+        for spec, q in items
+        if parse(format_poly(q.full_equation())) != q.full_equation()
+    ]
+
+
+def run(seed: int = 0, quick: bool = False) -> list:
+    """(label, failures) of every check on the generic witnesses of every
+    generator target at 1 (quick) or 2 seeds from ``seed``."""
+    seeds = range(seed, seed + (1 if quick else 2))
+    items, missing = [], []
     for target in GENERATOR_TARGETS:
-        for s in range(seeds):
-            spec = GenSpec(target, "generic", seed + s)
+        for s in seeds:
+            spec = GenSpec(target, "generic", s)
             try:
-                q = generate(spec)
+                items.append((spec, generate(spec)))
             except GenerationError:
-                report.record(f"generate {spec.label()}", False, "generation failed")
-                continue
-            tag, cert = classify(q)
-            report.record(
-                f"classify(generate({target.label()})) round-trip",
-                tag.label() == target.label(),
-                detail=tag.label(),
-            )
-            if target.family == "A" and target.exact and target.index <= 7:
-                expected = (target.index + 1) // 2
-                report.record(
-                    f"{target.label()} uses {expected} criteria steps",
-                    cert.steps_consumed() == expected,
-                    detail=str(cert.steps_consumed()),
-                )
-            text = format_poly(q.full_equation())
-            report.record(
-                f"{target.label()} text round-trip",
-                parse(text) == q.full_equation(),
-            )
-            # analyze_weight inside enumerate_vp raises on any direct vs
-            # stepwise disagreement, so surviving it is the Key Lemma check
-            verdicts = enumerate_vp(q, tag=tag, max_b=8 if quick else 12)
-            agree += sum(len(v.results) for v in verdicts)
-            if target.family == "A":
-                n = target.index
-                bound_ok = all(
-                    v.a <= (n + 1) // 2 and v.a + v.b <= n + 1
-                    for v in verdicts
-                    if v.vp
-                )
-                report.record(f"{target.label()} vp weights respect the bounds", bound_ok)
-            nonneg = all(r.discrepancy >= 0 for v in verdicts for r in v.results)
-            report.record(f"{target.label()} discrepancies are nonnegative", nonneg)
-    report.lines.append(
-        f"Key Lemma agreement verified on {agree} (weights, assignment) pairs"
-    )
-    return report
+                missing.append(f"{spec.label()}: generation failed")
+    sweep = [
+        (spec, enumerate_vp(q, tag=spec.target, max_b=8 if quick else 12))
+        for spec, q in items
+    ]
+    results = {
+        "a19_classification": a19_classification(),
+        "a19_vp_set": a19_vp_set(),
+        "a19_coordinate_change": a19_coordinate_change(),
+        "key_lemma": key_lemma(sweep),
+        "bounds": bounds(sweep),
+        "condition_tables": condition_tables(seeds),
+        "resolution_counts": resolution_counts(items),
+        "text_round_trips": text_round_trips(items),
+    }
+    return [("generic witness of every generator target", missing)] + [
+        (LABELS[name], failures) for name, failures in results.items()
+    ]

@@ -35,14 +35,7 @@ BLACK_WEIGHTS = {
     ("A", 1): ((1, 1, 1),),
 }
 
-RESULT_ROWS = tuple(
-    TypeTag(f, i)
-    for f, i in (
-        [("A", n) for n in range(1, 8)]
-        + [("D", n) for n in range(4, 11)]
-        + [("E", n) for n in (6, 7, 8)]
-    )
-)
+RESULT_ROWS = tuple(t for t in GENERATOR_TARGETS if t.exact)
 
 
 def claimed_vp_table() -> dict:

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, exact comparisons throughout.
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
-the failure report).  Criteria 4 and 5 compare against the claimed
-result tables cell by cell; cells whose defining conditions cannot be met
-by any normal quartic fail here and are documented in the project notes.
+the failure report).  Criteria 1-3 and 6-9 run the shared checks of
+``quarticvp.selftest`` on the acceptance sample.  Criteria 4 and 5 compare
+against the claimed result tables cell by cell; cells whose defining
+conditions cannot be met by any normal quartic fail here, and deciding
+them is ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -13,23 +15,15 @@ import random
 
 import pytest
 
-from quarticvp import fixtures
+from quarticvp import selftest
 from quarticvp.errors import GenerationError
 from quarticvp.generator import COLORED_WEIGHTS, GenSpec, generate
 from quarticvp.poly import format_poly, parse
-from quarticvp.quartic import normalize_at_point
-from quarticvp.singclass import TypeTag, classify
-from quarticvp.tables import (
-    BLACK_WEIGHTS,
-    CONDITIONS_A,
-    CONDITIONS_DE,
-    LINK_ROWS,
-    RESULT_ROWS,
-    compute_condition_table,
-)
+from quarticvp.selftest import LABELS
+from quarticvp.singclass import TypeTag
+from quarticvp.tables import BLACK_WEIGHTS, LINK_ROWS, RESULT_ROWS
 from quarticvp.vpanalyzer import analyze_weight, enumerate_vp, sarkisov_filter, vp_set
 
-P0 = (1, 0, 0, 0)
 SEEDS = (0, 1, 2)
 
 _witnesses: dict = {}
@@ -88,29 +82,15 @@ def key_lemma_sweep(full_corpus):
 
 
 def test_criterion_1_a19_classification():
-    q = normalize_at_point(fixtures.a19_tangent_cone_form(), P0)
-    tag, _ = classify(q)
-    failures = []
-    if not (tag.family == "A" and tag.index == 8 and not tag.exact):
-        failures.append(f"classified {tag.label()}, expected A>=8")
-    report(1, "A19 fixture classifies as A>=8", failures)
+    report(1, LABELS["a19_classification"], selftest.a19_classification())
 
 
 def test_criterion_2_a19_vp_set():
-    q = normalize_at_point(fixtures.a19_tangent_cone_form(), P0)
-    weights = vp_set(enumerate_vp(q, max_a=4, max_b=12))
-    failures = []
-    if weights != {(1, 1, 1), (1, 1, 2)}:
-        failures.append(f"vp set {sorted(weights)}")
-    report(2, "A19 vp weights are exactly (1,1,1),(1,1,2)", failures)
+    report(2, LABELS["a19_vp_set"], selftest.a19_vp_set())
 
 
 def test_criterion_3_coordinate_change_round_trip():
-    image = fixtures.a19_coordinate_change(fixtures.a19_original())
-    failures = []
-    if image != fixtures.a19_tangent_cone_form():
-        failures.append("substitution image differs from the fixture")
-    report(3, "recorded coordinate change is term-for-term exact", failures)
+    report(3, LABELS["a19_coordinate_change"], selftest.a19_coordinate_change())
 
 
 def test_criterion_4_result_table_rows():
@@ -159,86 +139,27 @@ def test_criterion_5_link_table_rows():
 
 
 def test_criterion_6_key_lemma_equivalence(key_lemma_sweep):
-    failures = []
+    failures = selftest.key_lemma(key_lemma_sweep)
     instances = len(key_lemma_sweep)
-    assignments = 0
-    for spec, verdicts in key_lemma_sweep:
-        for verdict in verdicts:
-            for result in verdict.results:
-                assignments += 1
-                if (result.discrepancy == 0) != result.stepwise_vp:
-                    failures.append(f"{spec.label()} {result.assignment}")
+    assignments = sum(len(v.results) for _, verdicts in key_lemma_sweep for v in verdicts)
     print(f"    checked {instances} instances, {assignments} assignments")
     if instances < 200:
         failures.append(f"only {instances} corpus instances")
-    report(6, "stepwise vp iff direct discrepancy zero", failures)
+    report(6, LABELS["key_lemma"], failures)
 
 
 def test_criterion_7_bounds(key_lemma_sweep):
-    failures = []
-    for spec, verdicts in key_lemma_sweep:
-        for verdict in verdicts:
-            for result in verdict.results:
-                if result.discrepancy < 0:
-                    failures.append(
-                        f"{spec.label()} {result.assignment}: negative discrepancy"
-                    )
-        if spec.target.family == "A" and spec.target.exact:
-            n = spec.target.index
-            for verdict in verdicts:
-                if verdict.vp and not (
-                    verdict.a <= (n + 1) // 2 and verdict.a + verdict.b <= n + 1
-                ):
-                    failures.append(f"{spec.label()}: vp weight {verdict.weights}")
-    report(7, "a <= ceil(n/2), a+b <= n+1 on A_n; discrepancies >= 0", failures)
+    report(7, LABELS["bounds"], selftest.bounds(key_lemma_sweep))
 
 
 def test_criterion_8_condition_table_toggling():
-    failures = []
-    for family, table in (("A", CONDITIONS_A), ("DE", CONDITIONS_DE)):
-        for trial in range(20):
-            outcomes = compute_condition_table(family, seed=trial)
-            for ray, outcome in outcomes.items():
-                if not outcome["vp_when_met"]:
-                    failures.append(f"{family} {ray} trial {trial}: conforming not vp")
-                if not outcome["toggles_flip"]:
-                    failures.append(
-                        f"{family} {ray} trial {trial}: {outcome['note']}"
-                    )
-    report(8, "condition tables: met iff vp, single toggles flip", failures)
+    report(8, LABELS["condition_tables"], selftest.condition_tables(range(20)))
 
 
 def test_criterion_9_resolution_counts():
-    failures = []
-    for n in range(1, 8):
-        expected = (n + 1) // 2
-        for seed in SEEDS:
-            q = generate(GenSpec(TypeTag("A", n), "generic", seed))
-            _, cert = classify(q)
-            if cert.steps_consumed() != expected:
-                failures.append(
-                    f"A{n} seed {seed}: {cert.steps_consumed()} steps != {expected}"
-                )
-    refinement_chains = {
-        ("D", 5): ["D5 <- A3"],
-        ("D", 6): ["D6 <- D4"],
-        ("D", 7): ["D5 <- A3", "D7 <- D5"],
-        ("D", 8): ["D6 <- D4", "D8 <- D6"],
-        ("D", 9): ["D5 <- A3", "D7 <- D5", "D9 <- D7"],
-        ("D", 10): ["D6 <- D4", "D8 <- D6", "D10 <- D8"],
-        ("E", 6): ["E6 <- A5"],
-        ("E", 7): ["D6 <- D4", "E7 <- D6"],
-        ("E", 8): ["D6 <- D4", "E7 <- D6", "E8 <- E7"],
-    }
-    for (family, index), chain in refinement_chains.items():
-        for seed in SEEDS:
-            q = generate(GenSpec(TypeTag(family, index), "generic", seed))
-            _, cert = classify(q)
-            if cert.refinement_chain() != chain:
-                failures.append(
-                    f"{family}{index} seed {seed}: {cert.refinement_chain()}"
-                )
-    report(9, "criteria step counts and refinement chains", failures)
+    specs = [GenSpec(tag, "generic", seed) for tag in RESULT_ROWS for seed in SEEDS]
+    items = [(spec, generate(spec)) for spec in specs]
+    report(9, LABELS["resolution_counts"], selftest.resolution_counts(items))
 
 
 def test_criterion_10_kernel_properties():

@@ -170,3 +170,13 @@ def test_selftest_quick(capsys):
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 0
     assert re.search(r"^all \d+ checks passed$", out, re.MULTILINE)
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    from quarticvp import selftest
+
+    monkeypatch.setattr(selftest, "key_lemma", lambda sweep: ["planted"])
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 5
+    assert f"[FAIL] {selftest.LABELS['key_lemma']}\n    planted\n" in out
+    assert out.endswith("FAILED: 1 check(s)\n")

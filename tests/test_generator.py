@@ -85,6 +85,15 @@ def test_unsupported_specializations_rejected():
         GenSpec(TypeTag("A", 2), (1, 1, 3), 0)
     with pytest.raises(ValueError):
         GenSpec(TypeTag("D", 5), (1, 3, 4), 0)
+    # targets with no builder: exact A8, D11 and the D/E catch-alls
+    for target in (
+        TypeTag("A", 8),
+        TypeTag("D", 11),
+        TypeTag("D", 11, exact=False),
+        TypeTag("E", 6, exact=False),
+    ):
+        with pytest.raises(ValueError, match="no generator for"):
+            GenSpec(target, "generic", 0)
 
 
 def test_unrealizable_stratum_exhausts_retries():

@@ -12,14 +12,18 @@
 * Only ``cli`` catches a bug (``ValueError``, ``ConsistencyViolation``, or
   anything as broad as ``Exception``); every other catch site catches
   refusals (``QuarticVPError`` and its subclasses) only.
+* The acceptance criteria that ``quarticvp selftest`` also audits call its
+  check functions, so each check has one definition.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quarticvp"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 MODULES = sorted(SRC.glob("*.py"))
 DEFERRED_IMPORTS_ALLOWED = {"cli.py"}
 
@@ -113,3 +117,26 @@ def test_scan_sees_the_package():
     assert {"blowup.py", "generator.py", "singclass.py", "tables.py"} <= {
         p.name for p in MODULES
     }
+
+
+def test_acceptance_criteria_read_the_registry():
+    """Criteria 1-3 and 6-9 run a ``selftest`` check instead of their own."""
+    tests = {
+        int(m.group(1)): node
+        for node in ast.parse(ACCEPTANCE.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and (m := re.match(r"test_criterion_(\d+)_", node.name))
+    }
+    shared = {1, 2, 3, 6, 7, 8, 9}
+    assert shared <= set(tests)
+    own = [
+        tests[n].name
+        for n in sorted(shared)
+        if not any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and getattr(call.func.value, "id", None) == "selftest"
+            for call in ast.walk(tests[n])
+        )
+    ]
+    assert not own, f"criteria with their own check body: {own}"

@@ -7,6 +7,7 @@ from quarticvp.errors import ClassificationError, NonNormalInput
 from quarticvp.field import GaussianRational, ZERO
 from quarticvp.poly import linear_change, parse
 from quarticvp.quartic import (
+    COEFF_NAMES,
     CoefficientTable,
     X2X3,
     coefficients,
@@ -151,7 +152,8 @@ def test_swap_x2_x3_is_invisible():
 
     for index in (2, 3, 4, 5, 6, 7):
         q = generate(GenSpec(TypeTag("A", index), "generic", 5))
-        table = coefficients(q).as_dict()
+        coeffs = coefficients(q)
+        table = {name: getattr(coeffs, name) for name in COEFF_NAMES}
         swapped = dict(table)
         for a, b in swaps.items():
             swapped[a], swapped[b] = table[b], table[a]
