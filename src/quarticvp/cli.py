@@ -49,18 +49,29 @@ def _generator_target(text: str) -> TypeTag:
     return forms[text.upper()]
 
 
-def _parse_point(text: str):
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise PolyParseError("a point needs 4 coordinates p0:p1:p2:p3", 0)
-    return tuple(parse_coeff(p.strip()) for p in parts)
+def _point(text: str) -> tuple:
+    """``p0:p1:p2:p3``: four Q(i) coefficients, not all zero."""
+    try:
+        point = tuple(parse_coeff(p) for p in text.split(":"))
+    except PolyParseError:
+        point = ()
+    if len(point) != 4 or not any(point):
+        raise argparse.ArgumentTypeError(
+            f"expected four coefficients p0:p1:p2:p3, not all zero; got {text!r}"
+        )
+    return point
+
+
+def _positive_int(text: str) -> int:
+    if not re.fullmatch(r"\d+", text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return int(text)
 
 
 def _load_quartic(args):
     with args.input:
         f = parse(args.input.read())
-    point = _parse_point(args.point) if args.point else (ONE, ZERO, ZERO, ZERO)
-    return normalize_at_point(f, point)
+    return normalize_at_point(f, args.point or (ONE, ZERO, ZERO, ZERO))
 
 
 def cmd_classify(args) -> int:
@@ -126,7 +137,7 @@ def cmd_generate(args) -> int:
     from .generator import GenSpec, corpus, corpus_jsonl, generate
 
     if args.corpus:
-        items = corpus(seed=args.seed)
+        items = [(spec, q) for spec, q in corpus(seed=args.seed) if q is not None]
         sys.stdout.write(corpus_jsonl(items))
         return 0
     try:
@@ -142,16 +153,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    from .tables import claimed_tables, computed_tables, diff_tables, tables_to_json
+    from .tables import claimed_tables, computed_tables, tables_to_json
 
-    claimed = claimed_tables()
-    computed = computed_tables(args.seed)
+    computed, problems = computed_tables(args.seed)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "claimed_tables.json").write_text(tables_to_json(claimed))
+        (out / "claimed_tables.json").write_text(tables_to_json(claimed_tables()))
         (out / "computed_tables.json").write_text(tables_to_json(computed))
-    problems = diff_tables(claimed, computed)
     if problems:
         print("table mismatches:")
         for p in problems:
@@ -193,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=argparse.FileType("r"),
             help="quartic file in the polynomial grammar, or - for stdin",
         )
-        p.add_argument("--point", help="marked point p0:p1:p2:p3 (default 1:0:0:0)")
+        p.add_argument(
+            "--point", type=_point, help="marked point p0:p1:p2:p3 (default 1:0:0:0)"
+        )
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("classify", help="ADE type of the marked double point")
@@ -202,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vp", help="enumerate volume-preserving weight triples")
     add_input(p)
-    p.add_argument("--max-a", type=int, default=None)
-    p.add_argument("--max-b", type=int, default=DEFAULT_MAX_B)
+    p.add_argument("--max-a", type=_positive_int, default=None)
+    p.add_argument("--max-b", type=_positive_int, default=DEFAULT_MAX_B)
     p.add_argument("--links-only", action="store_true")
     p.set_defaults(func=cmd_vp)
 

@@ -120,7 +120,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it hashes like one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- text -----------------------------------------------------------
 

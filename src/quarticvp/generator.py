@@ -643,25 +643,28 @@ def corpus_jsonl(items) -> str:
     return "\n".join(lines) + "\n"
 
 
-def corpus(seed: int = 0, generic_seeds: int = 8, special_seeds: int = 3):
-    """Deterministic list of (spec, quartic) pairs covering every stratum.
+def corpus(seed: int = 0, generic_seeds: int = 8, special_seeds: int = 3) -> list:
+    """The witness catalogue: (spec, witness or None) for every spec attempted.
 
-    Strata that cannot be realized (the generator exhausts its retries)
-    are skipped here; the acceptance suite probes them individually.
+    Per generator target, in order: the generic stratum at ``generic_seeds``
+    seeds from ``seed``, then each colored weight at ``special_seeds`` seeds.
+    A spec the generator refuses (GenerationError) maps to None, so callers
+    see which strata resisted: the table checks, ``quarticvp selftest`` and
+    the acceptance suite all read their witnesses from here.
     """
     out = []
     for target in GENERATOR_TARGETS:
-        for s in range(generic_seeds):
-            spec = GenSpec(target, "generic", seed + s)
-            try:
-                out.append((spec, generate(spec)))
-            except GenerationError:
-                continue
-        for weights in COLORED_WEIGHTS[(target.family, target.index)]:
-            for s in range(special_seeds):
-                spec = GenSpec(target, weights, seed + s)
+        for mode in ("generic",) + COLORED_WEIGHTS[(target.family, target.index)]:
+            for s in range(generic_seeds if mode == "generic" else special_seeds):
+                spec = GenSpec(target, mode, seed + s)
                 try:
                     out.append((spec, generate(spec)))
                 except GenerationError:
-                    continue
+                    out.append((spec, None))
     return out
+
+
+def refused(catalogue) -> list:
+    """A failure line per (spec, witness) pair of ``catalogue`` whose witness
+    is None, which is how ``corpus`` records a refused spec."""
+    return [f"{spec.label()}: generation failed" for spec, q in catalogue if q is None]

@@ -3,9 +3,11 @@
 The *claimed* tables transcribe the classification results this package
 reproduces: the volume-preserving weights per singularity type (with the
 non-generic entries marked), the link-initiating subsets, and the per-ray
-coefficient conditions.  The *computed* tables are rebuilt from scratch by
-generating witnesses and running the analyzers; ``diff_tables`` reports
-every cell where computation disagrees with the claim.
+coefficient conditions.  The *computed* tables are rebuilt from the
+witnesses of ``generator.corpus`` by running the analyzers.  The two row
+checks, ``check_vp_rows`` and ``check_link_rows``, report every result-table
+cell where computation disagrees with the claim; ``quarticvp tables`` runs
+them on one seed's witnesses and acceptance criteria 4 and 5 on three.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from itertools import islice
 
 from .blowup import toric_walk
-from .errors import GenerationError, QuarticVPError, ReducibleInput
+from .errors import QuarticVPError, ReducibleInput
 
 # the per-ray condition tables and their helpers live with the generator;
 # they are re-exported here next to the claimed tables
@@ -23,10 +25,10 @@ from .generator import (
     CONDITIONS_A,
     CONDITIONS_DE,
     GENERATOR_TARGETS,
-    GenSpec,
     conforming_instance,
-    generate,
+    corpus,
     prior_conditions,
+    refused,
 )
 from .singclass import TypeTag
 from .vpanalyzer import enumerate_vp, sarkisov_filter, vp_set
@@ -97,60 +99,83 @@ def ray_step_verdict(q, ray):
     return ray_walk(q, ray)[-1]
 
 
-# -- computed tables ---------------------------------------------------------------
+# -- computed tables and the row checks --------------------------------------------
 
 
-def _row_witnesses(tag: TypeTag, seed: int) -> dict:
-    """The vp verdicts of each witness of one row, keyed by generator mode.
-
-    A colored cell the generator refuses maps to None; a refused generic
-    witness raises GenerationError, as the row has no black set without it.
-    """
-    cells = {"generic": enumerate_vp(generate(GenSpec(tag, "generic", seed)), tag=tag)}
-    for weights in COLORED_WEIGHTS[(tag.family, tag.index)]:
-        try:
-            q = generate(GenSpec(tag, weights, seed))
-        except GenerationError:
-            cells[weights] = None
-            continue
-        cells[weights] = enumerate_vp(q, tag=tag)
-    return cells
+def row_verdicts(catalogue) -> dict:
+    """The vp verdicts the row checks read, from a ``generator.corpus``
+    catalogue, keyed by (target, mode) as lists of (spec, verdicts) in seed
+    order: every generic spec, and each colored cell's specs up to its first
+    realized one.  A refused spec has None in place of its verdicts."""
+    rows = {}
+    for spec, q in catalogue:
+        entries = rows.setdefault((spec.target, spec.mode), [])
+        if spec.mode == "generic" or _first(entries) is None:
+            entries.append((spec, None if q is None else enumerate_vp(q, tag=spec.target)))
+    return rows
 
 
-def compute_vp_table(witnesses: dict) -> dict:
-    """Rebuild the vp-weight table from the generated witnesses.
+def _first(entries):
+    """The verdicts of the first realized witness among ``entries``, or None."""
+    return next((verdicts for _, verdicts in entries if verdicts is not None), None)
 
-    Black entries come from generic witnesses (their whole vp set is
-    recorded); a colored entry is listed only when a specialized witness
-    realizes it, so unrealizable claims show up as missing cells.
-    """
+
+def compute_vp_table(rows) -> dict:
+    """The vp-weight table of the witnesses: the first generic witness's
+    whole vp set, and each colored cell as realized by its first realized
+    witness or unrealizable."""
     table = {}
     for tag in RESULT_ROWS:
-        cells = witnesses[tag]
-        row = {
-            "black": [list(w) for w in sorted(vp_set(cells["generic"]))],
-            "colored": [],
-            "unrealizable": [],
+        colored = COLORED_WEIGHTS[(tag.family, tag.index)]
+        realized = [w for w in colored if w in vp_set(_first(rows.get((tag, w), ())) or ())]
+        table[tag.label()] = {
+            "black": [list(w) for w in sorted(vp_set(_first(rows[(tag, "generic")]) or ()))],
+            "colored": [list(w) for w in realized],
+            "unrealizable": [list(w) for w in colored if w not in realized],
         }
-        for weights in COLORED_WEIGHTS[(tag.family, tag.index)]:
-            verdicts = cells[weights]
-            realized = verdicts is not None and weights in vp_set(verdicts)
-            (row["colored"] if realized else row["unrealizable"]).append(list(weights))
-        table[tag.label()] = row
     return table
 
 
-def compute_link_table(witnesses: dict) -> dict:
-    """Rebuild the link table by filtering the witnesses' vp sets per row."""
+def compute_link_table(rows) -> dict:
+    """Each link row's Sarkisov-filtered union over the first realized
+    witness per (tag, mode)."""
     table = {}
     for row, tags, _ in LINK_ROWS:
         weights = set()
         for tag in tags:
-            for verdicts in witnesses[tag].values():
-                if verdicts is not None:
-                    weights.update(v.weights for v in sarkisov_filter(verdicts))
+            for mode in ("generic",) + COLORED_WEIGHTS[(tag.family, tag.index)]:
+                verdicts = _first(rows.get((tag, mode), ())) or ()
+                weights.update(v.weights for v in sarkisov_filter(verdicts))
         table[row] = [list(w) for w in sorted(weights)]
     return table
+
+
+def check_vp_rows(rows) -> list:
+    """Every generic witness's vp set is its row's black set, and every
+    colored cell is realized by its first realized witness."""
+    claimed, computed = claimed_vp_table(), compute_vp_table(rows)
+    problems = []
+    for tag in RESULT_ROWS:
+        row = tag.label()
+        want = sorted(map(tuple, claimed[row]["black"]))
+        generic = rows[(tag, "generic")]
+        problems += refused(generic)
+        for spec, verdicts in generic:
+            if verdicts is not None and (have := sorted(vp_set(verdicts))) != want:
+                problems.append(f"{row} seed {spec.seed}: generic vp set {have} != {want}")
+        for w in computed[row]["unrealizable"]:
+            problems.append(f"{row}: colored weight {tuple(w)} not realizable")
+    return problems
+
+
+def check_link_rows(rows) -> list:
+    """Every link row is the Sarkisov-filtered union over its witnesses."""
+    computed = compute_link_table(rows)
+    return [
+        f"links {row}: {computed[row]} != {want}"
+        for row, want in claimed_link_table().items()
+        if computed[row] != sorted(want)
+    ]
 
 
 def _toggle_check(family: str, ray, conditions, seed: int) -> dict:
@@ -198,6 +223,17 @@ def compute_condition_table(family: str, seed: int = 0) -> dict:
     return out
 
 
+def check_condition_rows(label: str, outcomes: dict) -> list:
+    """The failures of one computed condition table, each led by ``label``."""
+    problems = []
+    for ray, outcome in outcomes.items():
+        if not outcome["vp_when_met"]:
+            problems.append(f"{label} {ray}: conforming instance was not vp")
+        if not outcome["toggles_flip"]:
+            problems.append(f"{label} {ray}: {outcome['note']}")
+    return problems
+
+
 def claimed_tables() -> dict:
     return {
         "vp_weights": claimed_vp_table(),
@@ -217,39 +253,20 @@ def claimed_tables() -> dict:
     }
 
 
-def computed_tables(seed: int = 0) -> dict:
-    witnesses = {tag: _row_witnesses(tag, seed) for tag in GENERATOR_TARGETS}
-    return {
-        "vp_weights": compute_vp_table(witnesses),
-        "links": compute_link_table(witnesses),
+def computed_tables(seed: int = 0) -> tuple:
+    """The tables rebuilt from the witnesses of ``corpus(seed, 1, 1)``, and
+    every disagreement with the claimed tables as a readable line."""
+    rows = row_verdicts(corpus(seed, 1, 1))
+    computed = {
+        "vp_weights": compute_vp_table(rows),
+        "links": compute_link_table(rows),
         "conditions_a": compute_condition_table("A", seed),
         "conditions_de": compute_condition_table("DE", seed),
     }
-
-
-def diff_tables(claimed: dict, computed: dict) -> list:
-    """Human-readable list of every disagreement between the two."""
-    problems = []
-    for row, claim in claimed["vp_weights"].items():
-        got = computed["vp_weights"][row]
-        want_black = sorted(map(tuple, claim["black"]))
-        have_black = sorted(map(tuple, got["black"]))
-        if have_black != want_black:
-            problems.append(f"{row}: generic vp set {have_black} != {want_black}")
-        missing = [tuple(w) for w in claim["colored"] if list(w) not in got["colored"]]
-        for w in missing:
-            problems.append(f"{row}: colored weight {w} not realizable")
-    for row, want in claimed["links"].items():
-        have = computed["links"][row]
-        if sorted(map(tuple, have)) != sorted(map(tuple, want)):
-            problems.append(f"links {row}: {have} != {want}")
+    problems = check_vp_rows(rows) + check_link_rows(rows)
     for key in ("conditions_a", "conditions_de"):
-        for ray, outcome in computed[key].items():
-            if not outcome["vp_when_met"]:
-                problems.append(f"{key} {ray}: conforming instance was not vp")
-            if not outcome["toggles_flip"]:
-                problems.append(f"{key} {ray}: {outcome['note']}")
-    return problems
+        problems += check_condition_rows(key, computed[key])
+    return computed, problems
 
 
 def tables_to_json(tables: dict) -> str:

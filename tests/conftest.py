@@ -17,11 +17,13 @@ def a19_pair():
 
 
 @pytest.fixture(scope="session")
-def small_corpus():
-    """A reduced generated corpus shared by the slower suites."""
+def witness_corpus():
+    """The session's one witness catalogue: (spec, witness or None) for the
+    generic stratum of every generator target at seeds 0-7 and every colored
+    cell at seeds 0-2."""
     from quarticvp.generator import corpus
 
-    return corpus(seed=0, generic_seeds=2, special_seeds=1)
+    return corpus(seed=0, generic_seeds=8, special_seeds=3)
 
 
 def random_coeff(rng: random.Random, complex_parts=True) -> GaussianRational:

@@ -1,11 +1,14 @@
 """Acceptance suite: one test per criterion, exact comparisons throughout.
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
-the failure report).  Criteria 1-3 and 6-9 run the shared checks of
-``quarticvp.selftest`` on the acceptance sample.  Criteria 4 and 5 compare
-against the claimed result tables cell by cell; cells whose defining
-conditions cannot be met by any normal quartic fail here, and deciding
-them is ROADMAP item 2.
+the failure report).  Every witness comes from the session's one
+``generator.corpus`` catalogue (the ``witness_corpus`` fixture); criteria
+4, 5 and 9 read only its ``SEEDS`` entries.  Criteria 1-3 and 6-9 run the
+shared checks of ``quarticvp.selftest``; criteria 4 and 5 run the row
+checks of ``quarticvp.tables`` that ``quarticvp tables`` runs, which
+compare against the claimed result tables cell by cell.  Cells whose
+defining conditions cannot be met by any normal quartic fail there, and
+deciding them is ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -15,33 +18,14 @@ import random
 
 import pytest
 
-from quarticvp import selftest
-from quarticvp.errors import GenerationError
-from quarticvp.generator import COLORED_WEIGHTS, GenSpec, generate
+from quarticvp import selftest, tables
+from quarticvp.generator import refused
 from quarticvp.poly import format_poly, parse
 from quarticvp.selftest import LABELS
-from quarticvp.singclass import TypeTag
-from quarticvp.tables import BLACK_WEIGHTS, LINK_ROWS, RESULT_ROWS
-from quarticvp.vpanalyzer import analyze_weight, enumerate_vp, sarkisov_filter, vp_set
+from quarticvp.tables import RESULT_ROWS
+from quarticvp.vpanalyzer import analyze_weight
 
 SEEDS = (0, 1, 2)
-
-_witnesses: dict = {}
-
-
-def witness(target: TypeTag, mode):
-    """First realizable witness over the standard seeds, memoized."""
-    key = (target.family, target.index, target.exact, mode)
-    if key not in _witnesses:
-        result = None
-        for seed in SEEDS:
-            try:
-                result = generate(GenSpec(target, mode, seed))
-                break
-            except GenerationError:
-                continue
-        _witnesses[key] = result
-    return _witnesses[key]
 
 
 def report(number: int, label: str, failures: list):
@@ -53,17 +37,16 @@ def report(number: int, label: str, failures: list):
 
 
 @pytest.fixture(scope="module")
-def full_corpus():
-    from quarticvp.generator import corpus
-
-    items = corpus(seed=0, generic_seeds=8, special_seeds=3)
-    assert len(items) >= 200
-    return items
+def row_verdicts(witness_corpus):
+    """One ``enumerate_vp`` sweep of the ``SEEDS`` entries, shared by
+    criteria 4 and 5."""
+    return tables.row_verdicts([(s, q) for s, q in witness_corpus if s.seed in SEEDS])
 
 
 @pytest.fixture(scope="module")
-def key_lemma_sweep(full_corpus):
-    """analyze_weight over every coprime (a, b) with a + b <= 12.
+def key_lemma_sweep(witness_corpus):
+    """analyze_weight over every coprime (a, b) with a + b <= 12, on every
+    realized corpus member.
 
     analyze_weight itself raises ConsistencyViolation on any direct vs
     stepwise disagreement, so completing the sweep is the equivalence.
@@ -74,11 +57,11 @@ def key_lemma_sweep(full_corpus):
         for b in range(a, 12)
         if math.gcd(a, b) == 1 and a + b <= 12
     ]
-    results = []
-    for spec, q in full_corpus:
-        verdicts = [analyze_weight(q, a, b) for a, b in pairs]
-        results.append((spec, verdicts))
-    return results
+    return [
+        (spec, [analyze_weight(q, a, b) for a, b in pairs])
+        for spec, q in witness_corpus
+        if q is not None
+    ]
 
 
 def test_criterion_1_a19_classification():
@@ -93,49 +76,16 @@ def test_criterion_3_coordinate_change_round_trip():
     report(3, LABELS["a19_coordinate_change"], selftest.a19_coordinate_change())
 
 
-def test_criterion_4_result_table_rows():
-    failures = []
-    for tag in RESULT_ROWS:
-        key = (tag.family, tag.index)
-        black = set(BLACK_WEIGHTS.get(key, ((1, 1, 1), (1, 1, 2))))
-        for seed in SEEDS:
-            try:
-                q = generate(GenSpec(tag, "generic", seed))
-            except GenerationError:
-                failures.append(f"{tag.label()} generic seed {seed}: generation failed")
-                continue
-            got = vp_set(enumerate_vp(q, tag=tag))
-            if got != black:
-                failures.append(
-                    f"{tag.label()} generic seed {seed}: vp set {sorted(got)} "
-                    f"!= black {sorted(black)}"
-                )
-        for weights in COLORED_WEIGHTS[key]:
-            q = witness(tag, weights)
-            if q is None:
-                failures.append(f"{tag.label()} colored {weights}: no witness realizable")
-                continue
-            if weights not in vp_set(enumerate_vp(q, tag=tag)):
-                failures.append(
-                    f"{tag.label()} colored {weights}: witness vp set misses it"
-                )
-    report(4, "result table rows (generic black sets, colored containment)", failures)
+def test_criterion_4_result_table_rows(row_verdicts):
+    report(
+        4,
+        "result table rows (generic black sets, colored containment)",
+        tables.check_vp_rows(row_verdicts),
+    )
 
 
-def test_criterion_5_link_table_rows():
-    failures = []
-    for row, tags, claimed in LINK_ROWS:
-        got = set()
-        for tag in tags:
-            modes = ["generic"] + list(COLORED_WEIGHTS[(tag.family, tag.index)])
-            for mode in modes:
-                q = witness(tag, mode)
-                if q is None:
-                    continue
-                got |= {v.weights for v in sarkisov_filter(enumerate_vp(q, tag=tag))}
-        if got != set(claimed):
-            failures.append(f"row {row}: {sorted(got)} != {sorted(set(claimed))}")
-    report(5, "link table rows after the Sarkisov filter", failures)
+def test_criterion_5_link_table_rows(row_verdicts):
+    report(5, "link table rows after the Sarkisov filter", tables.check_link_rows(row_verdicts))
 
 
 def test_criterion_6_key_lemma_equivalence(key_lemma_sweep):
@@ -156,10 +106,15 @@ def test_criterion_8_condition_table_toggling():
     report(8, LABELS["condition_tables"], selftest.condition_tables(range(20)))
 
 
-def test_criterion_9_resolution_counts():
-    specs = [GenSpec(tag, "generic", seed) for tag in RESULT_ROWS for seed in SEEDS]
-    items = [(spec, generate(spec)) for spec in specs]
-    report(9, LABELS["resolution_counts"], selftest.resolution_counts(items))
+def test_criterion_9_resolution_counts(witness_corpus):
+    generic = [
+        (spec, q)
+        for spec, q in witness_corpus
+        if spec.mode == "generic" and spec.seed in SEEDS and spec.target in RESULT_ROWS
+    ]
+    realized = [(spec, q) for spec, q in generic if q is not None]
+    failures = refused(generic) + selftest.resolution_counts(realized)
+    report(9, LABELS["resolution_counts"], failures)
 
 
 def test_criterion_10_kernel_properties():

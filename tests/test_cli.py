@@ -117,6 +117,12 @@ BAD_ARGUMENTS = {
     ),
     "specialize-not-int": (["generate", "--type", "A4", "--specialize", "1,x,3"], "expected 1,a,b"),
     "input-missing": (["classify", str(FIXTURE / "missing.txt")], "can't open"),
+    "max-b-zero": (["vp", A19, "--max-b", "0"], "expected a positive integer"),
+    "max-a-zero": (["vp", A19, "--max-a", "0"], "expected a positive integer"),
+    "max-b-negative": (["vp", A19, "--max-b", "-3"], "expected a positive integer"),
+    "point-three": (["classify", A19, "--point", "1:0:0"], "expected four coefficients"),
+    "point-zero": (["classify", A19, "--point", "0:0:0:0"], "expected four coefficients"),
+    "point-not-coeff": (["vp", A19, "--point", "1:x1:0:0"], "expected four coefficients"),
 }
 
 
@@ -141,9 +147,10 @@ def test_internal_check_exit_code(capsys, tmp_path, monkeypatch):
 def test_point_flag(capsys, tmp_path):
     moved = tmp_path / "moved.txt"
     moved.write_text("x3^2*x1*x2 + x0^3*x1 + x0^4")
-    code, out, _ = run(capsys, "classify", str(moved), "--point", "0:0:0:1")
-    assert code == 0
-    assert "A3" in out
+    for point in ("0:0:0:1", "0 : 0 : 0 : 2 + i"):  # the same projective point
+        code, out, _ = run(capsys, "classify", str(moved), f"--point={point}")
+        assert code == 0
+        assert "A3" in out
 
 
 def test_generate_command_roundtrip(capsys, tmp_path):
@@ -164,6 +171,18 @@ def test_generate_specialized(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(quartic), "--weights", "1,2,3")
     assert code == 0
     assert "volume preserving" in out and "not volume preserving" not in out
+
+
+def test_tables_reports_a_refused_generic_witness(capsys, monkeypatch):
+    from quarticvp import generator
+
+    def refuse(spec):
+        raise errors.GenerationError(f"could not realize {spec.label()}")
+
+    monkeypatch.setattr(generator, "generate", refuse)
+    code, out, _ = run(capsys, "tables")
+    assert code == 6
+    assert "\n  A1:generic:0: generation failed\n" in out
 
 
 def test_selftest_quick(capsys):

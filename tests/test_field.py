@@ -32,6 +32,11 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         a.re = Fraction(5)
     assert hash(GaussianRational(1, 2)) == hash(GaussianRational(Fraction(2, 2), 2))
+    # a real value equals its int or Fraction, so it must hash like one
+    for real in (1, Fraction(1, 2), 0, -7):
+        assert GaussianRational(real) == real
+        assert hash(GaussianRational(real)) == hash(real)
+        assert {real: "a"}.get(GaussianRational(real)) == "a"
 
 
 @given(gaussians, gaussians, gaussians)

@@ -103,18 +103,20 @@ def test_unrealizable_stratum_exhausts_retries():
         generate(GenSpec(TypeTag("D", 7), (1, 3, 5), 0))
 
 
-def test_corpus_jsonl(small_corpus):
+def test_corpus_jsonl(witness_corpus):
     import json
 
     from quarticvp.generator import corpus_jsonl
     from quarticvp.quartic import NormalizedQuartic
 
-    lines = corpus_jsonl(small_corpus).strip().split("\n")
-    assert len(lines) == len(small_corpus)
+    realized = [(spec, q) for spec, q in witness_corpus if q is not None]
+    assert len(realized) < len(witness_corpus)  # refused specs are kept as None
+    lines = corpus_jsonl(realized).strip().split("\n")
+    assert len(lines) == len(realized)
     first = json.loads(lines[0])
     assert set(first) == {"target", "mode", "seed", "quartic"}
     restored = NormalizedQuartic.from_json(first["quartic"])
-    assert restored.A == small_corpus[0][1].A
+    assert restored.A == realized[0][1].A
 
 
 def test_consistency_violation_is_never_retried(monkeypatch):

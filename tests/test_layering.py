@@ -12,8 +12,11 @@
 * Only ``cli`` catches a bug (``ValueError``, ``ConsistencyViolation``, or
   anything as broad as ``Exception``); every other catch site catches
   refusals (``QuarticVPError`` and its subclasses) only.
+* Only ``generator`` catches ``GenerationError``: ``generator.corpus`` is
+  the one loop that turns a refused spec into a catalogue entry.
 * The acceptance criteria that ``quarticvp selftest`` also audits call its
-  check functions, so each check has one definition.
+  check functions, and criteria 4 and 5 call the row checks that
+  ``quarticvp tables`` runs, so each check has one definition.
 """
 
 import ast
@@ -99,18 +102,33 @@ def test_normalizer_and_toric_walk_have_one_home(path):
     assert not calls, f"{path.name} calls {calls}"
 
 
+def _caught(path) -> list:
+    """(name, line) for every name an ``except`` clause of ``path``
+    catches; a bare ``except`` catches "bare except"."""
+    caught = []
+    for handler in ast.walk(ast.parse(path.read_text())):
+        if isinstance(handler, ast.ExceptHandler):
+            nodes = ast.walk(handler.type) if handler.type else ()
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in nodes} or {"bare except"}
+            caught += [(name, handler.lineno) for name in names if name]
+    return caught
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_cli_names_bugs_in_except_clauses(path):
     if path.name == "cli.py":
         return
     bugs = {"ValueError", "ConsistencyViolation", "Exception", "BaseException", "bare except"}
-    named = []
-    for handler in ast.walk(ast.parse(path.read_text())):
-        if isinstance(handler, ast.ExceptHandler):
-            nodes = ast.walk(handler.type) if handler.type else ()
-            names = {getattr(n, "id", getattr(n, "attr", None)) for n in nodes} or {"bare except"}
-            named += [f"{name} (line {handler.lineno})" for name in sorted(names & bugs)]
+    named = sorted(f"{name} (line {line})" for name, line in _caught(path) if name in bugs)
     assert not named, f"{path.name} catches {named}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_generator_catches_generation_errors(path):
+    if path.name == "generator.py":
+        return
+    named = [line for name, line in _caught(path) if name == "GenerationError"]
+    assert not named, f"{path.name} catches GenerationError at lines {named}"
 
 
 def test_scan_sees_the_package():
@@ -120,22 +138,25 @@ def test_scan_sees_the_package():
 
 
 def test_acceptance_criteria_read_the_registry():
-    """Criteria 1-3 and 6-9 run a ``selftest`` check instead of their own."""
+    """Criteria 1-3 and 6-9 run a ``selftest`` check, and criteria 4 and 5
+    the ``tables`` row checks, instead of their own."""
     tests = {
         int(m.group(1)): node
         for node in ast.parse(ACCEPTANCE.read_text()).body
         if isinstance(node, ast.FunctionDef)
         and (m := re.match(r"test_criterion_(\d+)_", node.name))
     }
-    shared = {1, 2, 3, 6, 7, 8, 9}
-    assert shared <= set(tests)
+    checks = {n: ("selftest", None) for n in (1, 2, 3, 6, 7, 8, 9)}
+    checks.update({4: ("tables", "check_vp_rows"), 5: ("tables", "check_link_rows")})
+    assert set(checks) <= set(tests)
     own = [
         tests[n].name
-        for n in sorted(shared)
+        for n, (module, name) in sorted(checks.items())
         if not any(
             isinstance(call, ast.Call)
             and isinstance(call.func, ast.Attribute)
-            and getattr(call.func.value, "id", None) == "selftest"
+            and getattr(call.func.value, "id", None) == module
+            and name in (None, call.func.attr)
             for call in ast.walk(tests[n])
         )
     ]
