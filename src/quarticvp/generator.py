@@ -34,6 +34,7 @@ from .quartic import (
     COEFF_NAMES,
     CoefficientTable,
     NormalizedQuartic,
+    SLOTS,
     X2X3,
     X3SQ,
     coefficients,
@@ -47,6 +48,7 @@ from .singclass import (
     a_chain_walk,
     a_criteria,
     classify,
+    cone_slots,
     line_slice,
 )
 from .vpanalyzer import analyze_weight
@@ -138,6 +140,15 @@ WEIGHT_CONDITIONS = {
     w: prior_conditions(w, CONDITIONS_DE) + CONDITIONS_DE[w][0]
     for row in COLORED_WEIGHTS.values()
     for w in row
+}
+
+# the same conditions with x2 and x3 swapped, (e1, e2, e3) -> (e1, e3, e2):
+# A = x2*x3 is symmetric in them, so an A-family point also meets a colored
+# weight through the assignment that swaps its two heavier weights
+_SLOT_NAMES = {e: name for name, e in SLOTS.items()}
+_MIRRORED_CONDITIONS = {
+    w: tuple(_SLOT_NAMES[(e1, e3, e2)] for e1, e2, e3 in map(SLOTS.get, names))
+    for w, names in WEIGHT_CONDITIONS.items()
 }
 
 GENERATOR_TARGETS = tuple(
@@ -289,11 +300,11 @@ def _avoids_colored(q: NormalizedQuartic, target: TypeTag) -> bool:
     colored = COLORED_WEIGHTS[(target.family, target.index)]
     if not colored:
         return True
+    conditions = [WEIGHT_CONDITIONS[w] for w in colored]
+    if target.family == "A":
+        conditions += [_MIRRORED_CONDITIONS[w] for w in colored]
     table = coefficients(q)
-    for weights in colored:
-        if satisfies_conditions(table, WEIGHT_CONDITIONS[weights]):
-            return False
-    return True
+    return not any(satisfies_conditions(table, names) for names in conditions)
 
 
 def conforming_instance(family: str, ray, seed: int, toggle: str | None = None):
@@ -368,15 +379,6 @@ def _build_a1(rng: random.Random):
 # -- D/E construction -----------------------------------------------------------
 
 
-def _quad_slots(germ):
-    quad = germ.homogeneous_component(2)
-    return (
-        quad.coefficient((0, 1, 1, 0)),
-        quad.coefficient((0, 1, 0, 1)),
-        quad.coefficient((0, 2, 0, 0)),
-    )
-
-
 def _a_terminal_defect(germ, req, stage):
     """Defects of a terminal A3 or A5 germ inside the walk."""
     blowups = 1 if req == "A3" else 2
@@ -421,7 +423,7 @@ def _walk_objective(chain, t0: GaussianRational):
         else:
             germ = substitute(h1, {2: _X2 + Polynomial.constant(t0)})
         for stage, req in enumerate(chain):
-            a, b, c = _quad_slots(germ)
+            a, b, c = cone_slots(germ)
             if req in ("A3", "A5"):
                 if not a.is_zero():
                     return ("pre-a", stage), a

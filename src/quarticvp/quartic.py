@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyViolation, FieldExtensionRequired, GeometryError
 from .field import GaussianRational, ONE, ZERO, coeff_sort_key, sqrt_if_exists
-from .poly import Polynomial, format_poly, linear_change, parse, parse_coeff
+from .poly import Polynomial, dehomogenize, format_poly, linear_change, parse, parse_coeff
 
 # -- small exact linear algebra ------------------------------------------------
 
@@ -251,6 +251,17 @@ class NormalizedQuartic:
             if not part.is_homogeneous() or part.total_degree() != deg or 0 in part.variables():
                 raise GeometryError(f"part of degree {deg} is malformed")
 
+    @staticmethod
+    def from_affine(g: Polynomial, change) -> "NormalizedQuartic":
+        """Split an affine equation at the origin into its degree-2, 3 and 4
+        parts A, B, C."""
+        return NormalizedQuartic(
+            A=g.homogeneous_component(2),
+            B=g.homogeneous_component(3),
+            C=g.homogeneous_component(4),
+            change=change,
+        )
+
     def full_equation(self) -> Polynomial:
         x0 = Polynomial.variable(0)
         return x0 * x0 * self.A + x0 * self.B + self.C
@@ -294,27 +305,12 @@ def normalize_at_point(f: Polynomial, point) -> NormalizedQuartic:
         [ONE if i == j else ZERO for i in range(4)] for j in range(4) if j != pivot
     ]
     matrix = tuple(tuple(columns[j][i] for j in range(4)) for i in range(4))
-    moved = linear_change(f, matrix)
-
-    parts = {}
-    for mono, coeff in moved.terms.items():
-        rest = (0, mono[1], mono[2], mono[3])
-        parts.setdefault(mono[0], {})[rest] = coeff
-    poly_parts = {d: Polynomial(t) for d, t in parts.items()}
-
-    if 4 in poly_parts:
+    g = dehomogenize(linear_change(f, matrix), 0)
+    if not g.homogeneous_component(0).is_zero():
         raise GeometryError("the point does not lie on the quartic")
-    if 3 in poly_parts:
+    if not g.homogeneous_component(1).is_zero():
         raise GeometryError("the point is a nonsingular point of the quartic")
-    a = poly_parts.get(2, Polynomial.zero())
-    if a.is_zero():
-        raise GeometryError("multiplicity at the point exceeds 2")
-    return NormalizedQuartic(
-        A=a,
-        B=poly_parts.get(1, Polynomial.zero()),
-        C=poly_parts.get(0, Polynomial.zero()),
-        change=matrix,
-    )
+    return NormalizedQuartic.from_affine(g, matrix)
 
 
 def tangent_cone_rank(q: NormalizedQuartic) -> int:
@@ -367,46 +363,15 @@ def normal_form(q: NormalizedQuartic) -> NormalizedQuartic:
     if q.A == X2X3 or q.A == X3SQ or tangent_cone_rank(q) == 3:
         return q
     g, m4 = normalize_cone(q.affine_equation())
-    return NormalizedQuartic(
-        A=g.homogeneous_component(2),
-        B=g.homogeneous_component(3),
-        C=g.homogeneous_component(4),
-        change=mat_mul(q.change, m4),
-    )
+    return NormalizedQuartic.from_affine(g, mat_mul(q.change, m4))
 
 
 # -- named coefficients -----------------------------------------------------------
 
-COEFF_NAMES = (
-    "b0",
-    "beta2",
-    "beta3",
-    "rho2",
-    "rho23",
-    "rho3",
-    "sigma0",
-    "sigma1",
-    "sigma2",
-    "sigma3",
-    "c0",
-    "delta2",
-    "delta3",
-    "eps2",
-    "eps23",
-    "eps3",
-    "tau0",
-    "tau1",
-    "tau2",
-    "tau3",
-    "lam0",
-    "lam1",
-    "lam2",
-    "lam3",
-    "lam4",
-)
-
-# exponent layout (e1, e2, e3) of each named coefficient
-_B_SLOTS = {
+# exponents (e1, e2, e3) of the monomial each named coefficient sits on: degree
+# 3 is B, degree 4 is C.  COEFF_NAMES keeps this order, in which the generator
+# draws its random coefficients.
+SLOTS = {
     "b0": (3, 0, 0),
     "beta2": (2, 1, 0),
     "beta3": (2, 0, 1),
@@ -417,8 +382,6 @@ _B_SLOTS = {
     "sigma1": (0, 2, 1),
     "sigma2": (0, 1, 2),
     "sigma3": (0, 0, 3),
-}
-_C_SLOTS = {
     "c0": (4, 0, 0),
     "delta2": (3, 1, 0),
     "delta3": (3, 0, 1),
@@ -435,6 +398,7 @@ _C_SLOTS = {
     "lam3": (0, 1, 3),
     "lam4": (0, 0, 4),
 }
+COEFF_NAMES = tuple(SLOTS)
 
 
 class CoefficientTable:
@@ -443,6 +407,9 @@ class CoefficientTable:
     __slots__ = COEFF_NAMES
 
     def __init__(self, **values):
+        unknown = values.keys() - SLOTS.keys()
+        if unknown:
+            raise TypeError(f"unknown coefficient names: {', '.join(sorted(unknown))}")
         for name in COEFF_NAMES:
             object.__setattr__(self, name, GaussianRational.of(values.get(name, 0)))
 
@@ -458,36 +425,23 @@ class CoefficientTable:
         nonzero = {n: str(getattr(self, n)) for n in COEFF_NAMES if getattr(self, n)}
         return f"CoefficientTable({nonzero})"
 
-    def reconstruct_b(self) -> Polynomial:
-        terms = {}
-        for name, (e1, e2, e3) in _B_SLOTS.items():
-            terms[(0, e1, e2, e3)] = getattr(self, name)
-        return Polynomial(terms)
-
-    def reconstruct_c(self) -> Polynomial:
-        terms = {}
-        for name, (e1, e2, e3) in _C_SLOTS.items():
-            terms[(0, e1, e2, e3)] = getattr(self, name)
-        return Polynomial(terms)
+    def part(self, degree: int) -> Polynomial:
+        """B (degree 3) or C (degree 4) from the named coefficients."""
+        return Polynomial(
+            {(0,) + e: getattr(self, name) for name, e in SLOTS.items() if sum(e) == degree}
+        )
 
 
 def coefficients(q: NormalizedQuartic) -> CoefficientTable:
     """Extract the named coefficient table; requires normal-form A."""
     if q.A != X2X3 and q.A != X3SQ:
         raise GeometryError("coefficient table requires A = x2*x3 or A = x3^2")
-    values = {}
-    for name, (e1, e2, e3) in _B_SLOTS.items():
-        values[name] = q.B.coefficient((0, e1, e2, e3))
-    for name, (e1, e2, e3) in _C_SLOTS.items():
-        values[name] = q.C.coefficient((0, e1, e2, e3))
-    return CoefficientTable(**values)
+    parts = {3: q.B, 4: q.C}
+    return CoefficientTable(
+        **{name: parts[sum(e)].coefficient((0,) + e) for name, e in SLOTS.items()}
+    )
 
 
 def quartic_from_table(a: Polynomial, table: CoefficientTable) -> NormalizedQuartic:
     """Assemble a normal-form quartic from A and a coefficient table."""
-    return NormalizedQuartic(
-        A=a,
-        B=table.reconstruct_b(),
-        C=table.reconstruct_c(),
-        change=mat_identity(4),
-    )
+    return NormalizedQuartic(A=a, B=table.part(3), C=table.part(4), change=mat_identity(4))

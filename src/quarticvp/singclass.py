@@ -267,6 +267,11 @@ def line_slice(h: Polynomial) -> list:
     return coeffs
 
 
+def cone_slots(g: Polynomial) -> tuple:
+    """The x1*x2, x1*x3 and x1^2 coefficients of a germ's quadratic part."""
+    return g.coefficient((0, 1, 1, 0)), g.coefficient((0, 1, 0, 1)), g.coefficient((0, 2, 0, 0))
+
+
 def a_chain_walk(g: Polynomial):
     """Iterated point blowups of a germ with rank-2 tangent cone.
 
@@ -280,10 +285,8 @@ def a_chain_walk(g: Polynomial):
     g, _ = normalize_cone(g)
     while True:
         h = point_chart(g)
-        quad = h.homogeneous_component(2)
-        a = quad.coefficient((0, 1, 1, 0))
-        b = quad.coefficient((0, 1, 0, 1))
-        yield h.coefficient((0, 1, 0, 0)), a * b - quad.coefficient((0, 2, 0, 0))
+        a, b, c = cone_slots(h)
+        yield h.coefficient((0, 1, 0, 0)), a * b - c
         g = substitute(h, {2: _X2 - _X1.scale(b), 3: _X3 - _X1.scale(a)})
 
 

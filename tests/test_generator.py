@@ -17,12 +17,13 @@ from quarticvp.generator import (
 )
 from quarticvp.quartic import X2X3, coefficients
 from quarticvp.singclass import TypeTag, classify
-from quarticvp.vpanalyzer import analyze_weight
+from quarticvp.tables import claimed_vp_table
+from quarticvp.vpanalyzer import analyze_weight, enumerate_vp, vp_set
 
 
 @pytest.mark.parametrize("target", GENERATOR_TARGETS, ids=lambda t: t.label())
-def test_generic_roundtrip(target):
-    q = generate(GenSpec(target, "generic", 0))
+def test_generic_roundtrip(target, witness_corpus):
+    q = dict(witness_corpus)[GenSpec(target, "generic", 0)]
     tag, _ = classify(q)
     assert tag == target
 
@@ -47,9 +48,9 @@ def test_seeded_determinism():
         ("E", 7, (1, 2, 3)),
     ],
 )
-def test_specialized_strata(family, index, weights):
+def test_specialized_strata(family, index, weights, witness_corpus):
     target = TypeTag(family, index, exact=True)
-    q = generate(GenSpec(target, weights, 0))
+    q = dict(witness_corpus)[GenSpec(target, weights, 0)]
     tag, _ = classify(q)
     assert tag == target
     table = coefficients(q)
@@ -57,12 +58,20 @@ def test_specialized_strata(family, index, weights):
     assert analyze_weight(q, weights[1], weights[2]).vp
 
 
-def test_generic_avoids_colored_conditions():
+def test_generic_avoids_colored_conditions(witness_corpus):
     for target in (TypeTag("A", 4), TypeTag("A", 7), TypeTag("D", 6)):
-        q = generate(GenSpec(target, "generic", 2))
+        q = dict(witness_corpus)[GenSpec(target, "generic", 2)]
         table = coefficients(q)
         for weights in COLORED_WEIGHTS[(target.family, target.index)]:
             assert not satisfies_conditions(table, WEIGHT_CONDITIONS[weights])
+
+
+def test_generic_a_witness_avoids_the_swapped_colored_weights(witness_corpus):
+    # A = x2*x3 is symmetric in x2 and x3, so a generic A5 witness with
+    # b0 = beta3 = c0 = 0 is vp at (1,2,3) through the assignment (1,3,2)
+    q = dict(witness_corpus)[GenSpec(TypeTag("A", 5), "generic", 4)]
+    black = claimed_vp_table()["A5"]["black"]
+    assert sorted(vp_set(enumerate_vp(q, tag=TypeTag("A", 5)))) == sorted(map(tuple, black))
 
 
 def test_weight_conditions_follow_the_ray_tables():

@@ -9,6 +9,9 @@
   ladder has one definition.
 * Only ``quartic`` factors a tangent cone (``normalize_cone``), and only
   ``blowup`` steps through a toric chain (``toric_walk``).
+* Only ``singclass`` reads a germ's cone slots (``cone_slots``), and
+  ``quartic`` states the exponents of the named coefficients in one dict
+  (``SLOTS``), so each coefficient layout has one definition.
 * Only ``cli`` catches a bug (``ValueError``, ``ConsistencyViolation``, or
   anything as broad as ``Exception``); every other catch site catches
   refusals (``QuarticVPError`` and its subclasses) only.
@@ -100,6 +103,42 @@ def test_normalizer_and_toric_walk_have_one_home(path):
     foreign = set().union(*(names for owner, names in OWNED.items() if owner != path.name))
     calls = _calls(path, foreign)
     assert not calls, f"{path.name} calls {calls}"
+
+
+def _int_tuple(node):
+    """The value of a tuple literal of int constants, else None."""
+    if isinstance(node, ast.Tuple) and all(
+        isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts
+    ):
+        return tuple(e.value for e in node.elts)
+    return None
+
+
+CONE_SLOTS = {(0, 1, 1, 0), (0, 1, 0, 1), (0, 2, 0, 0)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_singclass_reads_the_cone_slots(path):
+    if path.name == "singclass.py":
+        return
+    found = [
+        f"{_int_tuple(node)} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _int_tuple(node) in CONE_SLOTS
+    ]
+    assert not found, f"{path.name} spells cone slots {found}"
+
+
+def test_named_coefficient_exponents_have_one_dict():
+    layouts = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "quartic.py").read_text()))
+        if isinstance(node, ast.Dict)
+        and node.keys
+        and all(isinstance(k, ast.Constant) and isinstance(k.value, str) for k in node.keys)
+        and all(_int_tuple(v) is not None and len(v.elts) == 3 for v in node.values)
+    ]
+    assert len(layouts) == 1, f"quartic.py states exponent layouts at lines {layouts}"
 
 
 def _caught(path) -> list:

@@ -7,6 +7,7 @@ from quarticvp.field import GaussianRational, ONE, ZERO
 from quarticvp.generator import GenSpec, generate
 from quarticvp.poly import linear_change, parse
 from quarticvp.quartic import (
+    CoefficientTable,
     NormalizedQuartic,
     coefficients,
     mat_identity,
@@ -140,8 +141,13 @@ def test_coefficient_table_and_reconstruction():
         getattr(table, name).is_zero()
         for name in ("beta2", "beta3", "c0", "lam4")
     )
-    assert table.reconstruct_b() == q.B
-    assert table.reconstruct_c() == q.C
+    assert table.part(3) == q.B
+    assert table.part(4) == q.C
+
+
+def test_coefficient_table_refuses_unknown_names():
+    with pytest.raises(TypeError, match="unknown coefficient names: sigma, zeta"):
+        CoefficientTable(sigma=1, b0=2, zeta=3)
 
 
 def test_a19_named_coefficients(a19_pair):

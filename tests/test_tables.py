@@ -94,26 +94,17 @@ def test_conforming_instances_meet_their_conditions():
         assert getattr(table, name) == GaussianRational(0)
 
 
-def _slot(name):
-    """Exponents (e1, e2, e3) of the monomial a named coefficient sits on."""
-    from quarticvp.quartic import CoefficientTable
-
-    table = CoefficientTable(**{name: 1})
-    (mono,) = (table.reconstruct_b() + table.reconstruct_c()).terms
-    return mono[1:]
-
-
 def test_condition_tables_are_the_weighted_order_inequality():
     # the conditions met up to ray w = (1,c,d) are exactly the named slots
     # e with e . w < c + d: the step is vp iff wt_w(f) reaches c + d
-    from quarticvp.quartic import COEFF_NAMES
+    from quarticvp.quartic import SLOTS
 
     for table in (CONDITIONS_A, CONDITIONS_DE):
         for ray, (own, _) in table.items():
             _, c, d = ray
             below = {
                 name
-                for name in COEFF_NAMES
-                if sum(w * e for w, e in zip(ray, _slot(name))) < c + d
+                for name, slot in SLOTS.items()
+                if sum(w * e for w, e in zip(ray, slot)) < c + d
             }
             assert set(prior_conditions(ray, table) + own) == below, ray
