@@ -68,6 +68,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _out_dir(text: str) -> Path:
+    """A directory to write to, created if missing: no file may stand in
+    its place or in the place of an ancestor."""
+    out = Path(text)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"expected a directory, but {str(existing)!r} is a file")
+    return out
+
+
 def _load_quartic(args):
     with args.input:
         f = parse(args.input.read())
@@ -137,6 +147,8 @@ def cmd_generate(args) -> int:
     from .generator import GenSpec, corpus, corpus_jsonl, generate
 
     if args.corpus:
+        if args.specialize:
+            args.usage_error("argument --specialize: not allowed with argument --corpus")
         items = [(spec, q) for spec, q in corpus(seed=args.seed) if q is not None]
         sys.stdout.write(corpus_jsonl(items))
         return 0
@@ -157,10 +169,9 @@ def cmd_tables(args) -> int:
 
     computed, problems = computed_tables(args.seed)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "claimed_tables.json").write_text(tables_to_json(claimed_tables()))
-        (out / "computed_tables.json").write_text(tables_to_json(computed))
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "claimed_tables.json").write_text(tables_to_json(claimed_tables()))
+        (args.out / "computed_tables.json").write_text(tables_to_json(computed))
     if problems:
         print("table mismatches:")
         for p in problems:
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate, usage_error=p.error)
 
     p = sub.add_parser("tables", help="recompute the result tables and compare")
-    p.add_argument("--out", help="directory for the table files")
+    p.add_argument("--out", type=_out_dir, help="directory for the table files")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_tables)
 

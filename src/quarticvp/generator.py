@@ -29,12 +29,11 @@ from itertools import islice
 from .blowup import mirror_chart, point_chart
 from .errors import GenerationError, QuarticVPError
 from .field import GaussianRational, ONE, ZERO, sqrt_if_exists
-from .poly import Polynomial, substitute
+from .poly import Polynomial, substitute, weighted_order
 from .quartic import (
     COEFF_NAMES,
     CoefficientTable,
     NormalizedQuartic,
-    SLOTS,
     X2X3,
     X3SQ,
     coefficients,
@@ -51,68 +50,13 @@ from .singclass import (
     cone_slots,
     line_slice,
 )
-from .vpanalyzer import analyze_weight
+from .vpanalyzer import analyze_weight, distinct_assignments, vp_conditions
 
 MAX_RETRIES = 64
 _X2 = Polynomial.variable(2)
 
-# per-ray volume-preserving conditions (Tables 5 and 6): names that must
-# vanish, plus side conditions that must NOT vanish (on pain of a
-# reducibility contradiction)
-CONDITIONS_A = {
-    (1, 1, 1): ((), ()),
-    (1, 1, 2): ((), ()),
-    (1, 1, 3): (("b0", "beta2", "rho2", "sigma0"), ()),
-    (1, 1, 4): (("c0", "delta2", "eps2", "tau0", "lam0"), ()),
-    (1, 2, 2): (("b0",), ()),
-    (1, 2, 3): (("beta2", "c0"), ()),
-    (1, 2, 4): (("rho2", "delta2"), ()),
-    (1, 2, 5): (("sigma0", "eps2"), ()),
-    (1, 3, 3): (("c0", "beta2", "beta3"), ()),
-    (1, 3, 4): (("delta2",), ()),
-    (1, 3, 5): (("rho2",), ()),
-}
-
-CONDITIONS_DE = {
-    (1, 1, 1): ((), ()),
-    (1, 1, 2): ((), ()),
-    (1, 1, 3): (("b0", "beta2", "rho2", "sigma0"), ()),
-    (1, 2, 2): (("b0",), ()),
-    (1, 2, 3): (("beta2", "c0"), ()),
-    (1, 2, 4): (("rho2", "delta2"), ("beta3",)),
-    (1, 2, 5): (("sigma0", "eps2"), ()),
-    (1, 3, 3): (("c0", "beta2", "beta3"), ()),
-    (1, 3, 4): (("delta2",), ()),
-    (1, 3, 5): (("rho2",), ("delta3",)),
-    (1, 3, 6): (("eps2",), ()),
-    (1, 3, 7): (("sigma0",), ()),
-    (1, 4, 4): (("delta2", "delta3"), ()),
-    (1, 4, 5): ((), ()),
-    (1, 4, 6): (("rho2",), ()),
-}
-
-
-def prior_conditions(ray, table, which: int = 0) -> tuple:
-    """Union of the conditions of all earlier rays in the chain.
-
-    ``which`` selects the slot: 0 for the equalities, 1 for the side
-    conditions that must stay nonzero.
-    """
-    _, c, d = ray
-    names = []
-    for i in range(1, c + 1):
-        for n in table.get((1, i, i), ((), ()))[which]:
-            if n not in names:
-                names.append(n)
-    for j in range(c + 1, d):
-        for n in table.get((1, c, j), ((), ()))[which]:
-            if n not in names:
-                names.append(n)
-    return tuple(names)
-
-
 # colored (non-generic) weights of each classification row, per the result
-# tables; generic witnesses must avoid each of these condition sets
+# tables; generic witnesses must avoid each of them
 COLORED_WEIGHTS = {
     ("A", 1): (),
     ("A", 2): (),
@@ -132,23 +76,6 @@ COLORED_WEIGHTS = {
     ("E", 6): ((1, 2, 3), (1, 3, 4), (1, 3, 5)),
     ("E", 7): ((1, 2, 3), (1, 3, 4), (1, 3, 5)),
     ("E", 8): ((1, 2, 3), (1, 3, 4), (1, 3, 5), (1, 4, 5)),
-}
-
-# cumulative equality conditions along each colored weight's ray sequence;
-# on the rays of the A-family weights the two tables agree
-WEIGHT_CONDITIONS = {
-    w: prior_conditions(w, CONDITIONS_DE) + CONDITIONS_DE[w][0]
-    for row in COLORED_WEIGHTS.values()
-    for w in row
-}
-
-# the same conditions with x2 and x3 swapped, (e1, e2, e3) -> (e1, e3, e2):
-# A = x2*x3 is symmetric in them, so an A-family point also meets a colored
-# weight through the assignment that swaps its two heavier weights
-_SLOT_NAMES = {e: name for name, e in SLOTS.items()}
-_MIRRORED_CONDITIONS = {
-    w: tuple(_SLOT_NAMES[(e1, e3, e2)] for e1, e2, e3 in map(SLOTS.get, names))
-    for w, names in WEIGHT_CONDITIONS.items()
 }
 
 GENERATOR_TARGETS = tuple(
@@ -297,31 +224,32 @@ def satisfies_conditions(table: CoefficientTable, names) -> bool:
 
 
 def _avoids_colored(q: NormalizedQuartic, target: TypeTag) -> bool:
+    """True unless ``q`` meets a colored weight of ``target`` through some
+    assignment: its tangent cone reaches the vp threshold and every name of
+    ``vp_conditions`` vanishes."""
     colored = COLORED_WEIGHTS[(target.family, target.index)]
     if not colored:
         return True
-    conditions = [WEIGHT_CONDITIONS[w] for w in colored]
-    if target.family == "A":
-        conditions += [_MIRRORED_CONDITIONS[w] for w in colored]
     table = coefficients(q)
-    return not any(satisfies_conditions(table, names) for names in conditions)
+    return not any(
+        weighted_order(q.A, sigma) >= sum(sigma) - 1
+        and satisfies_conditions(table, vp_conditions(sigma))
+        for _, a, b in colored
+        for sigma in distinct_assignments(a, b)
+    )
 
 
-def conforming_instance(family: str, ray, seed: int, toggle: str | None = None):
-    """A random instance meeting the prior rays' conditions for ``ray``.
+def conforming_instance(family: str, ray, seed: int, side=(), toggle: str | None = None):
+    """A random instance of the ``family`` normal form that is vp at ``ray``.
 
-    The row's own equalities are imposed too, except that ``toggle`` (one
-    of them) is set to a random nonzero value instead.  Side conditions of
-    the row are forced nonzero.
+    Every name of ``vp_conditions(ray)`` vanishes, except that ``toggle``
+    (one of them) is set to a random nonzero value instead.  The ``side``
+    names are forced nonzero, in order.
     """
-    table = CONDITIONS_A if family == "A" else CONDITIONS_DE
-    conditions, side = table[tuple(ray)]
     rng = random.Random(f"table-row-{family}-{ray}-{seed}-{toggle}")
-    frozen = list(dict.fromkeys(prior_conditions(tuple(ray), table) + conditions))
-    if toggle is not None:
-        frozen.remove(toggle)
-    builder = _Builder(rng, X2X3 if family == "A" else X3SQ, tuple(frozen))
-    for name in prior_conditions(tuple(ray), table, which=1) + side:
+    frozen = [name for name in vp_conditions(ray) if name != toggle]
+    builder = _Builder(rng, X2X3 if family == "A" else X3SQ, frozen)
+    for name in side:
         builder.set(name, _draw_nonzero(rng), freeze=False)
     if toggle is not None:
         builder.set(toggle, _draw_nonzero(rng), freeze=False)
@@ -588,9 +516,7 @@ def generate(spec: GenSpec) -> NormalizedQuartic:
     particular strata whose defining conditions force a non-normal surface
     fail here rather than returning a fake witness.
     """
-    frozen = ()
-    if spec.mode != "generic":
-        frozen = WEIGHT_CONDITIONS[tuple(spec.mode)]
+    frozen = () if spec.mode == "generic" else vp_conditions(spec.mode)
 
     for attempt in range(MAX_RETRIES):
         rng = random.Random(f"{spec.label()}#{attempt}")

@@ -17,19 +17,7 @@ from itertools import islice
 
 from .blowup import toric_walk
 from .errors import QuarticVPError, ReducibleInput
-
-# the per-ray condition tables and their helpers live with the generator;
-# they are re-exported here next to the claimed tables
-from .generator import (
-    COLORED_WEIGHTS,
-    CONDITIONS_A,
-    CONDITIONS_DE,
-    GENERATOR_TARGETS,
-    conforming_instance,
-    corpus,
-    prior_conditions,
-    refused,
-)
+from .generator import COLORED_WEIGHTS, GENERATOR_TARGETS, conforming_instance, corpus, refused
 from .singclass import TypeTag
 from .vpanalyzer import enumerate_vp, sarkisov_filter, vp_set
 
@@ -79,6 +67,50 @@ LINK_ROWS = (
 
 def claimed_link_table() -> dict:
     return {row: [list(w) for w in weights] for row, _, weights in LINK_ROWS}
+
+
+# per-ray volume-preserving conditions (Tables 5 and 6): names that must
+# vanish, plus side conditions that must NOT vanish (on pain of a
+# reducibility contradiction).  Up to each ray, the names that vanish are
+# vpanalyzer.vp_conditions(ray); the test suite holds the two to each other.
+CONDITIONS_A = {
+    (1, 1, 1): ((), ()),
+    (1, 1, 2): ((), ()),
+    (1, 1, 3): (("b0", "beta2", "rho2", "sigma0"), ()),
+    (1, 1, 4): (("c0", "delta2", "eps2", "tau0", "lam0"), ()),
+    (1, 2, 2): (("b0",), ()),
+    (1, 2, 3): (("beta2", "c0"), ()),
+    (1, 2, 4): (("rho2", "delta2"), ()),
+    (1, 2, 5): (("sigma0", "eps2"), ()),
+    (1, 3, 3): (("c0", "beta2", "beta3"), ()),
+    (1, 3, 4): (("delta2",), ()),
+    (1, 3, 5): (("rho2",), ()),
+}
+
+CONDITIONS_DE = {
+    (1, 1, 1): ((), ()),
+    (1, 1, 2): ((), ()),
+    (1, 1, 3): (("b0", "beta2", "rho2", "sigma0"), ()),
+    (1, 2, 2): (("b0",), ()),
+    (1, 2, 3): (("beta2", "c0"), ()),
+    (1, 2, 4): (("rho2", "delta2"), ("beta3",)),
+    (1, 2, 5): (("sigma0", "eps2"), ()),
+    (1, 3, 3): (("c0", "beta2", "beta3"), ()),
+    (1, 3, 4): (("delta2",), ()),
+    (1, 3, 5): (("rho2",), ("delta3",)),
+    (1, 3, 6): (("eps2",), ()),
+    (1, 3, 7): (("sigma0",), ()),
+    (1, 4, 4): (("delta2", "delta3"), ()),
+    (1, 4, 5): ((), ()),
+    (1, 4, 6): (("rho2",), ()),
+}
+
+
+def prior_conditions(ray, table) -> tuple:
+    """The side conditions of all earlier rays in the chain to ``ray``."""
+    _, c, d = ray
+    earlier = [(1, i, i) for i in range(1, c + 1)] + [(1, c, j) for j in range(c + 1, d)]
+    return tuple(dict.fromkeys(n for r in earlier for n in table.get(r, ((), ()))[1]))
 
 
 # rays whose own conditions make the exceptional divisor divide the strict
@@ -178,9 +210,9 @@ def check_link_rows(rows) -> list:
     ]
 
 
-def _toggle_check(family: str, ray, conditions, seed: int) -> dict:
+def _toggle_check(family: str, ray, conditions, side, seed: int) -> dict:
     """One condition-table row: conforming instances are vp, single
-    toggles are not.
+    toggles are not.  ``side`` names stay nonzero on both.
 
     Rays in DEGENERATE_DE_RAYS carry the reducibility marker
     ("x1 divides the strict transform"): meeting their conditions makes
@@ -194,7 +226,7 @@ def _toggle_check(family: str, ray, conditions, seed: int) -> dict:
         "degenerate": degenerate,
         "note": "",
     }
-    conforming = conforming_instance(family, ray, seed)
+    conforming = conforming_instance(family, ray, seed, side)
     if degenerate:
         try:
             ray_walk(conforming, ray)
@@ -206,7 +238,7 @@ def _toggle_check(family: str, ray, conditions, seed: int) -> dict:
         outcome["vp_when_met"] = False
     for name in conditions:
         try:
-            toggled = conforming_instance(family, ray, seed, toggle=name)
+            toggled = conforming_instance(family, ray, seed, side, toggle=name)
             if ray_step_verdict(toggled, ray).vp:
                 outcome["toggles_flip"] = False
                 outcome["note"] = f"toggling {name} left the step vp"
@@ -218,8 +250,9 @@ def _toggle_check(family: str, ray, conditions, seed: int) -> dict:
 def compute_condition_table(family: str, seed: int = 0) -> dict:
     table = CONDITIONS_A if family == "A" else CONDITIONS_DE
     out = {}
-    for ray, (conditions, _) in table.items():
-        out["x".join(map(str, ray))] = _toggle_check(family, ray, conditions, seed)
+    for ray, (conditions, side) in table.items():
+        side = prior_conditions(ray, table) + side
+        out["x".join(map(str, ray))] = _toggle_check(family, ray, conditions, side, seed)
     return out
 
 

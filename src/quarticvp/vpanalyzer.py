@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .blowup import VpTrace, run_toric_description
 from .errors import ConsistencyViolation
 from .poly import dehomogenize, weighted_order
-from .quartic import NormalizedQuartic
+from .quartic import SLOTS, NormalizedQuartic
 from .singclass import TypeTag, classify
 
 # weight pairs whose blowup can initiate a Sarkisov link from P^3
@@ -75,6 +75,21 @@ def direct_vp(q: NormalizedQuartic, weights) -> int:
     w1, w2, w3 = weights
     affine = dehomogenize(q.full_equation(), 0)
     return (w1 + w2 + w3 - 1) - weighted_order(affine, (w1, w2, w3))
+
+
+def vp_conditions(weights) -> tuple:
+    """The named coefficients that vanish at a point where ``weights`` is vp.
+
+    These are the names, in ``SLOTS`` order, whose monomial has weighted
+    order below the threshold w1 + w2 + w3 - 1 that ``direct_vp`` measures
+    against; the tangent cone A must reach that threshold as well.
+    """
+    threshold = sum(weights) - 1
+    return tuple(
+        name
+        for name, e in SLOTS.items()
+        if sum(w * k for w, k in zip(weights, e)) < threshold
+    )
 
 
 def distinct_assignments(a: int, b: int) -> list:

@@ -116,6 +116,11 @@ BAD_ARGUMENTS = {
         "weights (1, 1, 3) are not a special stratum of A2",
     ),
     "specialize-not-int": (["generate", "--type", "A4", "--specialize", "1,x,3"], "expected 1,a,b"),
+    "specialize-with-corpus": (
+        ["generate", "--corpus", "--specialize", "1,2,3"],
+        "argument --specialize: not allowed with argument --corpus",
+    ),
+    "out-is-a-file": (["tables", "--out", A19], "expected a directory, but"),
     "input-missing": (["classify", str(FIXTURE / "missing.txt")], "can't open"),
     "max-b-zero": (["vp", A19, "--max-b", "0"], "expected a positive integer"),
     "max-a-zero": (["vp", A19, "--max-a", "0"], "expected a positive integer"),

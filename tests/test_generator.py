@@ -6,19 +6,17 @@ from quarticvp import generator
 from quarticvp.errors import ClassificationError, ConsistencyViolation, GenerationError
 from quarticvp.generator import (
     COLORED_WEIGHTS,
-    CONDITIONS_A,
     GENERATOR_TARGETS,
-    WEIGHT_CONDITIONS,
     GenSpec,
     generate,
+    _avoids_colored,
     _Builder,
-    prior_conditions,
     satisfies_conditions,
 )
-from quarticvp.quartic import X2X3, coefficients
+from quarticvp.quartic import SLOTS, X2X3, X3SQ, coefficients
 from quarticvp.singclass import TypeTag, classify
 from quarticvp.tables import claimed_vp_table
-from quarticvp.vpanalyzer import analyze_weight, enumerate_vp, vp_set
+from quarticvp.vpanalyzer import analyze_weight, enumerate_vp, vp_conditions, vp_set
 
 
 @pytest.mark.parametrize("target", GENERATOR_TARGETS, ids=lambda t: t.label())
@@ -54,7 +52,7 @@ def test_specialized_strata(family, index, weights, witness_corpus):
     tag, _ = classify(q)
     assert tag == target
     table = coefficients(q)
-    assert satisfies_conditions(table, WEIGHT_CONDITIONS[weights])
+    assert satisfies_conditions(table, vp_conditions(weights))
     assert analyze_weight(q, weights[1], weights[2]).vp
 
 
@@ -63,7 +61,7 @@ def test_generic_avoids_colored_conditions(witness_corpus):
         q = dict(witness_corpus)[GenSpec(target, "generic", 2)]
         table = coefficients(q)
         for weights in COLORED_WEIGHTS[(target.family, target.index)]:
-            assert not satisfies_conditions(table, WEIGHT_CONDITIONS[weights])
+            assert not satisfies_conditions(table, vp_conditions(weights))
 
 
 def test_generic_a_witness_avoids_the_swapped_colored_weights(witness_corpus):
@@ -74,19 +72,48 @@ def test_generic_a_witness_avoids_the_swapped_colored_weights(witness_corpus):
     assert sorted(vp_set(enumerate_vp(q, tag=TypeTag("A", 5)))) == sorted(map(tuple, black))
 
 
-def test_weight_conditions_follow_the_ray_tables():
-    assert WEIGHT_CONDITIONS == {
+# D/E builder points that meet a colored weight only through the assignment
+# that swaps x1 and x2: (seed, frozen names, target, colored weight)
+SWAPPED_DE_POINTS = (
+    (1, ("rho2", "sigma0", "lam0"), TypeTag("D", 5), (1, 2, 3)),
+    (0, ("rho2", "sigma0", "lam0"), TypeTag("D", 6), (1, 2, 3)),
+    (17, ("rho2", "sigma0", "lam0"), TypeTag("E", 6), (1, 2, 3)),
+    (0, ("rho2", "sigma0", "sigma1", "tau0", "lam0"), TypeTag("D", 7), (1, 3, 4)),
+)
+
+
+@pytest.mark.parametrize(
+    "seed, frozen, target, weights", SWAPPED_DE_POINTS, ids=[p[2].label() for p in SWAPPED_DE_POINTS]
+)
+def test_generic_de_witness_avoids_the_swapped_colored_weights(seed, frozen, target, weights):
+    # A = x3^2 leaves x1 and x2 free to trade weights, so (a, 1, b) can be
+    # vp where (1, a, b) is not
+    q = _Builder(random.Random(seed), X3SQ, frozen).quartic()
+    assert classify(q)[0] == target
+    _, a, b = weights
+    verdict = analyze_weight(q, a, b)
+    assert [r.assignment for r in verdict.results if r.discrepancy == 0] == [(a, 1, b)]
+    assert not _avoids_colored(q, target)
+
+
+def test_vp_conditions_of_the_colored_weights():
+    assert {w: vp_conditions(w) for row in COLORED_WEIGHTS.values() for w in row} == {
         (1, 1, 3): ("b0", "beta2", "rho2", "sigma0"),
         (1, 2, 3): ("b0", "beta2", "c0"),
-        (1, 2, 5): ("b0", "beta2", "c0", "rho2", "delta2", "sigma0", "eps2"),
-        (1, 3, 4): ("b0", "c0", "beta2", "beta3", "delta2"),
-        (1, 3, 5): ("b0", "c0", "beta2", "beta3", "delta2", "rho2"),
-        (1, 4, 5): ("b0", "c0", "beta2", "beta3", "delta2", "delta3"),
+        (1, 2, 5): ("b0", "beta2", "rho2", "sigma0", "c0", "delta2", "eps2"),
+        (1, 3, 4): ("b0", "beta2", "beta3", "c0", "delta2"),
+        (1, 3, 5): ("b0", "beta2", "beta3", "rho2", "c0", "delta2"),
+        (1, 4, 5): ("b0", "beta2", "beta3", "c0", "delta2", "delta3"),
     }
-    # the A-family weights read the same conditions off the A table
-    for weights, names in WEIGHT_CONDITIONS.items():
-        if weights in CONDITIONS_A:
-            assert prior_conditions(weights, CONDITIONS_A) + CONDITIONS_A[weights][0] == names
+
+
+def test_vp_conditions_mirror_under_the_x2_x3_swap():
+    names = {e: name for name, e in SLOTS.items()}
+    swap = {name: names[(e1, e3, e2)] for name, (e1, e2, e3) in SLOTS.items()}
+    for a in range(1, 7):
+        for b in range(1, 9):
+            mirrored = {swap[name] for name in vp_conditions((1, a, b))}
+            assert set(vp_conditions((1, b, a))) == mirrored, (a, b)
 
 
 def test_unsupported_specializations_rejected():

@@ -12,6 +12,9 @@
 * Only ``singclass`` reads a germ's cone slots (``cone_slots``), and
   ``quartic`` states the exponents of the named coefficients in one dict
   (``SLOTS``), so each coefficient layout has one definition.
+* Only ``quartic`` and ``vpanalyzer`` read ``SLOTS``: every other module
+  asks ``vpanalyzer.vp_conditions`` which named coefficients a weight
+  needs to vanish, so the vp rule has one definition.
 * Only ``cli`` catches a bug (``ValueError``, ``ConsistencyViolation``, or
   anything as broad as ``Exception``); every other catch site catches
   refusals (``QuarticVPError`` and its subclasses) only.
@@ -139,6 +142,19 @@ def test_named_coefficient_exponents_have_one_dict():
         and all(_int_tuple(v) is not None and len(v.elts) == 3 for v in node.values)
     ]
     assert len(layouts) == 1, f"quartic.py states exponent layouts at lines {layouts}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_quartic_and_vpanalyzer_read_slots(path):
+    if path.name in ("quartic.py", "vpanalyzer.py"):
+        return
+    reads = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and any(a.name == "SLOTS" for a in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "SLOTS")
+    ]
+    assert not reads, f"{path.name} reads SLOTS at lines {reads}"
 
 
 def _caught(path) -> list:

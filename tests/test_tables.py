@@ -3,6 +3,7 @@ import pytest
 from quarticvp import tables
 from quarticvp.errors import ConsistencyViolation
 from quarticvp.field import GaussianRational
+from quarticvp.generator import conforming_instance
 from quarticvp.poly import parse
 from quarticvp.quartic import normalize_at_point
 from quarticvp.tables import (
@@ -11,32 +12,22 @@ from quarticvp.tables import (
     DEGENERATE_DE_RAYS,
     claimed_link_table,
     claimed_vp_table,
-    conforming_instance,
     prior_conditions,
     ray_step_verdict,
     ray_walk,
 )
+from quarticvp.vpanalyzer import vp_conditions
 
 P0 = (1, 0, 0, 0)
 
 
 def test_prior_conditions_accumulate():
-    assert prior_conditions((1, 2, 5), CONDITIONS_A) == (
-        "b0",
-        "beta2",
-        "c0",
-        "rho2",
-        "delta2",
-    )
-    assert prior_conditions((1, 1, 3), CONDITIONS_A) == ()
-    assert prior_conditions((1, 4, 5), CONDITIONS_DE) == (
-        "b0",
-        "c0",
-        "beta2",
-        "beta3",
-        "delta2",
-        "delta3",
-    )
+    # the side conditions of the earlier rays, not the ray's own
+    assert prior_conditions((1, 2, 4), CONDITIONS_DE) == ()
+    assert prior_conditions((1, 2, 5), CONDITIONS_DE) == ("beta3",)
+    assert prior_conditions((1, 3, 7), CONDITIONS_DE) == ("delta3",)
+    assert prior_conditions((1, 4, 5), CONDITIONS_DE) == ()
+    assert all(prior_conditions(ray, CONDITIONS_A) == () for ray in CONDITIONS_A)
 
 
 def test_ray_step_verdict_reads_single_steps():
@@ -95,16 +86,11 @@ def test_conforming_instances_meet_their_conditions():
 
 
 def test_condition_tables_are_the_weighted_order_inequality():
-    # the conditions met up to ray w = (1,c,d) are exactly the named slots
-    # e with e . w < c + d: the step is vp iff wt_w(f) reaches c + d
-    from quarticvp.quartic import SLOTS
-
+    # the equalities met up to ray w = (1,c,d) along its chain are exactly
+    # vp_conditions(w): the step is vp iff wt_w(f) reaches c + d
     for table in (CONDITIONS_A, CONDITIONS_DE):
-        for ray, (own, _) in table.items():
+        for ray in table:
             _, c, d = ray
-            below = {
-                name
-                for name, slot in SLOTS.items()
-                if sum(w * e for w, e in zip(ray, slot)) < c + d
-            }
-            assert set(prior_conditions(ray, table) + own) == below, ray
+            chain = [(1, i, i) for i in range(1, c + 1)] + [(1, c, j) for j in range(c + 1, d + 1)]
+            met = [name for r in chain for name in table.get(r, ((), ()))[0]]
+            assert sorted(met) == sorted(vp_conditions(ray)), ray
