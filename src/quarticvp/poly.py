@@ -6,16 +6,18 @@ equality.  The ring is deliberately fixed at four variables: everything in
 this package lives in P^3.
 
 The module also carries the handful of primitives the geometry needs:
-weighted order, chart substitutions, exceptional-power extraction, order
-along a coordinate line, and exact univariate gcd over Q(i).
+weighted order, chart substitutions, the shear x_i -> x_i + c*x0,
+exceptional-power extraction, order along a coordinate line, and exact
+univariate gcd over Q(i).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import PolyParseError
-from .field import GaussianRational, ONE, ZERO, format_coeff
+from .field import GaussianRational, I, ONE, ZERO, format_coeff
 
 NVARS = 4
 VAR_NAMES = ("x0", "x1", "x2", "x3")
@@ -262,6 +264,46 @@ def permute_variables(f: Polynomial, perm) -> Polynomial:
     return _raw(terms)
 
 
+def _accumulate(terms: dict, mono, c) -> None:
+    """terms[mono] += c, storing no zero."""
+    s = terms.get(mono)
+    if s is None:
+        terms[mono] = c
+        return
+    s = s + c
+    if s.is_zero():
+        del terms[mono]
+    else:
+        terms[mono] = s
+
+
+def shear(f: Polynomial, var: int, c) -> Polynomial:
+    """Substitute x_var -> x_var + c*x0.
+
+    Each term expands binomially, so the cost is O(terms x degree) Q(i)
+    products; ``linear_change`` with the same matrix would multiply out
+    powers of linear forms instead.
+    """
+    c = GaussianRational.of(c)
+    if c.is_zero():
+        return f
+    top = max((m[var] for m in f.terms), default=0)
+    # steps[e][j] = binomial(e, j) * c^j
+    powers = [ONE]
+    for _ in range(top):
+        powers.append(powers[-1] * c)
+    steps = [[powers[j] * comb(e, j) for j in range(e + 1)] for e in range(top + 1)]
+    terms = {}
+    for m, coeff in f.terms.items():
+        e = m[var]
+        for j, step in enumerate(steps[e]):
+            mono = list(m)
+            mono[var] -= j
+            mono[0] += j
+            _accumulate(terms, tuple(mono), coeff * step if j else coeff)
+    return _raw(terms)
+
+
 def linear_change(f: Polynomial, matrix) -> Polynomial:
     """Substitute x_i -> sum_j matrix[i][j] * x_j."""
     images = {}
@@ -409,8 +451,62 @@ def squarefree_excess(p: list) -> int:
 
 # -- parsing --------------------------------------------------------------------
 
+# Parentheses nest at most this deep; the formatter never nests at all.
+MAX_NESTING = 64
+
+
+def _is_digit(ch: str) -> bool:
+    # ASCII only: str.isdigit() also admits '²' and '٣', which int() misreads
+    return "0" <= ch <= "9"
+
+
+class _Term:
+    """A product of factors: one coefficient times x^mono, times the
+    parenthesized sums of several terms, kept apart in ``sums``."""
+
+    __slots__ = ("negative", "coeff", "mono", "sums")
+
+    def __init__(self, negative: bool):
+        self.negative = negative
+        self.coeff = ONE
+        self.mono = [0, 0, 0, 0]
+        self.sums = []
+
+    def times(self, c: GaussianRational) -> None:
+        # a term with no coefficient factor yet holds ONE itself: no product
+        self.coeff = c if self.coeff is ONE else self.coeff * c
+
+    def times_sum(self, p: Polynomial) -> None:
+        if len(p.terms) > 1:
+            self.sums.append(p)
+        elif not p.terms:
+            self.coeff = ZERO
+        else:
+            ((mono, c),) = p.terms.items()
+            self.times(c)
+            self.mono = [a + b for a, b in zip(self.mono, mono)]
+
+    def add_to(self, terms: dict) -> None:
+        if self.coeff.is_zero():
+            return
+        product = _raw({tuple(self.mono): -self.coeff if self.negative else self.coeff})
+        # Polynomial arithmetic only here, for sums of several terms
+        for p in self.sums:
+            product = product * p
+        for mono, c in product.terms.items():
+            _accumulate(terms, mono, c)
+
 
 class _Parser:
+    """One left-to-right pass over the text.
+
+    A term is read factor by factor into a ``_Term``: a coefficient factor
+    multiplies its coefficient, a variable adds to its exponents.  An open
+    parenthesis pushes the enclosing sum and term on a stack, so nesting
+    costs no recursion; its closing one pops them and multiplies the inner
+    sum into the term.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -435,13 +531,13 @@ class _Parser:
     def parse_nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
         return int(self.text[start : self.pos])
 
-    def parse_rat(self) -> Fraction:
+    def parse_rat(self) -> int | Fraction:
         num = self.parse_nat()
         if self.eat("/"):
             at = self.pos
@@ -450,23 +546,20 @@ class _Parser:
                 self.pos = at
                 self.error("zero denominator")
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self, term: _Term) -> None:
+        """Multiply one coefficient or variable factor into ``term``."""
         ch = self.peek()
-        if ch == "(":
-            self.eat("(")
-            inner = self.parse_expr()
-            if not self.eat(")"):
-                self.error("expected ')'")
-            return inner
-        if ch.isdigit():
+        if _is_digit(ch):
             q = self.parse_rat()
             # "4i" is accepted as tight shorthand for 4*i
             if self.pos < len(self.text) and self.text[self.pos] == "i":
                 self.pos += 1
-                return Polynomial.constant(GaussianRational(0, q))
-            return Polynomial.constant(q)
+                term.times(GaussianRational(0, q))
+            else:
+                term.times(GaussianRational(q))
+            return
         if ch == "i":
             save = self.pos
             self.pos += 1
@@ -474,46 +567,49 @@ class _Parser:
             if nxt.isalnum() or nxt == "_":
                 self.pos = save
                 self.error("unknown name")
-            return Polynomial.constant(GaussianRational(0, 1))
+            term.times(I)
+            return
         if ch == "x":
             start = self.pos
             self.pos += 1
-            if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
-                self.pos = start
-                self.error("unknown variable name")
-            idx = self.text[self.pos]
+            idx = self.text[self.pos] if self.pos < len(self.text) else ""
             self.pos += 1
             nxt = self.text[self.pos] if self.pos < len(self.text) else ""
-            if idx not in "0123" or nxt.isdigit():
+            if idx not in ("0", "1", "2", "3") or _is_digit(nxt):
                 self.pos = start
                 self.error("unknown variable name")
-            var = Polynomial.variable(int(idx))
-            if self.eat("^"):
-                return var ** self.parse_nat()
-            return var
+            term.mono[int(idx)] += self.parse_nat() if self.eat("^") else 1
+            return
         if ch == "":
             self.error("unexpected end of input")
         self.error(f"unexpected character {ch!r}")
 
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while self.eat("*"):
-            result = result * self.parse_factor()
-        return result
-
     def parse_expr(self) -> Polynomial:
-        negate = False
-        if self.eat("-"):
-            negate = True
-        term = self.parse_term()
-        result = -term if negate else term
+        stack = []
+        terms, term = {}, _Term(self.eat("-"))
         while True:
-            if self.eat("+"):
-                result = result + self.parse_term()
-            elif self.eat("-"):
-                result = result - self.parse_term()
-            else:
-                return result
+            if self.peek() == "(":
+                if len(stack) == MAX_NESTING:
+                    self.error(f"parentheses nested deeper than {MAX_NESTING}")
+                self.pos += 1
+                stack.append((terms, term))
+                terms, term = {}, _Term(self.eat("-"))
+                continue
+            self.parse_factor(term)
+            while not self.eat("*"):
+                term.add_to(terms)
+                op = self.peek()
+                if op == "+" or op == "-":
+                    self.pos += 1
+                    term = _Term(op == "-")
+                    break
+                if not stack:
+                    return _raw(terms)
+                if not self.eat(")"):
+                    self.error("expected ')'")
+                inner = _raw(terms)
+                terms, term = stack.pop()
+                term.times_sum(inner)
 
 
 def parse(text: str) -> Polynomial:

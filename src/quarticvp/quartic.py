@@ -17,7 +17,17 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyViolation, FieldExtensionRequired, GeometryError
 from .field import GaussianRational, ONE, ZERO, coeff_sort_key, sqrt_if_exists
-from .poly import Polynomial, dehomogenize, format_poly, linear_change, parse, parse_coeff
+from .poly import (
+    Polynomial,
+    dehomogenize,
+    format_poly,
+    linear_change,
+    parse,
+    parse_coeff,
+    permute_variables,
+    shear,
+    substitute,
+)
 
 # -- small exact linear algebra ------------------------------------------------
 
@@ -301,11 +311,21 @@ def normalize_at_point(f: Polynomial, point) -> NormalizedQuartic:
         raise GeometryError("a projective point needs 4 coordinates, not all zero")
 
     pivot = next(i for i, c in enumerate(point) if not c.is_zero())
-    columns = [point] + [
-        [ONE if i == j else ZERO for i in range(4)] for j in range(4) if j != pivot
-    ]
+    others = [j for j in range(4) if j != pivot]
+    columns = [point] + [[ONE if i == j else ZERO for i in range(4)] for j in others]
     matrix = tuple(tuple(columns[j][i] for j in range(4)) for i in range(4))
-    g = dehomogenize(linear_change(f, matrix), 0)
+    # f(matrix . x) without a dense change: x_pivot -> p_pivot*x0 and, for
+    # the coordinate x_j that column c holds, x_j -> x_c + p_j*x0.  The
+    # scaling of x0 comes before the shears, whose new x0 terms it must miss.
+    perm = [0] * 4
+    for c, j in enumerate(others, 1):
+        perm[j] = c
+    g = permute_variables(f, perm)
+    if not point[pivot].is_one():
+        g = substitute(g, {0: Polynomial.monomial((1, 0, 0, 0), point[pivot])})
+    for c, j in enumerate(others, 1):
+        g = shear(g, c, point[j])
+    g = dehomogenize(g, 0)
     if not g.homogeneous_component(0).is_zero():
         raise GeometryError("the point does not lie on the quartic")
     if not g.homogeneous_component(1).is_zero():

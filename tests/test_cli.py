@@ -55,6 +55,24 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        ("(" * 330 + "x1" + ")" * 330, 64),
+        ("x0^2*x2*x3 + x1^\u00b2", 16),
+        ("\u0663*x1^4", 0),
+    ],
+    ids=["deep-nesting", "superscript-exponent", "arabic-indic-coefficient"],
+)
+def test_unreadable_input_exits_2_with_an_offset(capsys, tmp_path, text, offset):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "classify", str(bad))
+    assert code == 2
+    assert err.startswith("parse error: ")
+    assert f"(at offset {offset})" in err
+
+
 def test_geometry_error_exit_code(capsys, tmp_path):
     off = tmp_path / "off.txt"
     off.write_text("x0^4 + x1^4")

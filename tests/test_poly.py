@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quarticvp.errors import PolyParseError
-from quarticvp.field import GaussianRational
+from quarticvp.field import GaussianRational, I
 from quarticvp.poly import (
+    MAX_NESTING,
     Polynomial,
     dehomogenize,
     divide_var_power,
@@ -12,6 +16,7 @@ from quarticvp.poly import (
     linear_change,
     order_along,
     parse,
+    shear,
     substitute,
     unique_multiple_root,
     univariate_derivative,
@@ -57,6 +62,135 @@ def test_parse_errors_carry_offsets(text, offset_range):
     with pytest.raises(PolyParseError) as err:
         parse(text)
     assert offset_range[0] <= err.value.offset <= offset_range[1]
+
+
+def test_deep_nesting_is_refused_at_the_offending_parenthesis():
+    nested = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse(nested) == X1
+    with pytest.raises(PolyParseError) as err:
+        parse("(" * 330 + "x1" + ")" * 330)
+    assert err.value.offset == MAX_NESTING
+    with pytest.raises(PolyParseError) as err:
+        parse("x2 + " + "(" * (MAX_NESTING + 1) + "x1")
+    assert err.value.offset == 5 + MAX_NESTING
+
+
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        ("x0^2*x2*x3 + x1^\u00b2", 16),  # superscript two
+        ("\u0663*x1^4", 0),  # Arabic-Indic three
+        ("x1^4 + 1/\u0663", 9),
+        ("x\u0661^2", 0),  # Arabic-Indic one as a variable index
+    ],
+)
+def test_non_ascii_digits_are_refused(text, offset):
+    with pytest.raises(PolyParseError) as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
+def _render_expr(tree) -> str:
+    negate, terms = tree
+    text = "-" if negate else ""
+    for k, (sign, factors) in enumerate(terms):
+        if k:
+            text += " - " if sign else " + "
+        text += "*".join(_render_factor(f) for f in factors)
+    return text
+
+
+def _render_rat(q) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _render_factor(factor) -> str:
+    kind, value = factor
+    if kind == "rat":
+        return _render_rat(value)
+    if kind == "tight_i":
+        return f"{_render_rat(value)}i"
+    if kind == "i":
+        return "i"
+    if kind == "var":
+        index, power = value
+        return f"x{index}" if power is None else f"x{index}^{power}"
+    return f"({_render_expr(value)})"
+
+
+def _evaluate_expr(tree) -> Polynomial:
+    negate, terms = tree
+    total = Polynomial.zero()
+    for k, (sign, factors) in enumerate(terms):
+        product = Polynomial.constant(1)
+        for factor in factors:
+            product = product * _evaluate_factor(factor)
+        total = total - product if (sign if k else negate) else total + product
+    return total
+
+
+def _evaluate_factor(factor) -> Polynomial:
+    kind, value = factor
+    if kind == "rat":
+        return Polynomial.constant(value)
+    if kind == "tight_i":
+        return Polynomial.constant(GaussianRational(0, value))
+    if kind == "i":
+        return Polynomial.constant(I)
+    if kind == "var":
+        index, power = value
+        return Polynomial.variable(index) ** (1 if power is None else power)
+    return _evaluate_expr(value)
+
+
+_rats = st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+_atoms = st.one_of(
+    st.tuples(st.just("rat"), _rats),
+    st.tuples(st.just("tight_i"), _rats),
+    st.tuples(st.just("i"), st.none()),
+    st.tuples(
+        st.just("var"),
+        st.tuples(st.integers(0, 3), st.one_of(st.none(), st.integers(0, 3))),
+    ),
+)
+
+
+def _exprs(factors):
+    """expr := ['-'] term (('+'|'-') term)*; with ``cancel`` the first term
+    comes back with the opposite sign, so the whole sum can cancel to zero."""
+    terms = st.lists(factors, min_size=1, max_size=3)
+    signed = st.lists(st.tuples(st.booleans(), terms), min_size=1, max_size=4)
+
+    def build(negate, terms, cancel):
+        if cancel:
+            terms = terms + [(not negate, terms[0][1])]
+        return negate, terms
+
+    return st.builds(build, st.booleans(), signed, st.booleans())
+
+
+_factors = st.recursive(
+    _atoms, lambda inner: st.tuples(st.just("paren"), _exprs(inner)), max_leaves=8
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(tree=_exprs(_factors))
+def test_parse_agrees_with_polynomial_arithmetic(tree):
+    """An expression tree of the README grammar, rendered to text, parses
+    to the value Polynomial arithmetic gives the same tree."""
+    assert parse(_render_expr(tree)) == _evaluate_expr(tree)
+
+
+def test_shear_is_the_binomial_substitution():
+    rng = random.Random(29)
+    x0 = Polynomial.variable(0)
+    for _ in range(50):
+        f = random_poly(rng)
+        var = rng.randint(1, 3)
+        c = GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))
+        xv = Polynomial.variable(var)
+        assert shear(f, var, c) == substitute(f, {var: xv + x0.scale(c)})
 
 
 def test_roundtrip_random():

@@ -5,12 +5,13 @@ import pytest
 from quarticvp.errors import FieldExtensionRequired, GeometryError
 from quarticvp.field import GaussianRational, ONE, ZERO
 from quarticvp.generator import GenSpec, generate
-from quarticvp.poly import linear_change, parse
+from quarticvp.poly import Polynomial, dehomogenize, linear_change, parse
 from quarticvp.quartic import (
     CoefficientTable,
     NormalizedQuartic,
     coefficients,
     mat_identity,
+    mat_inverse,
     normal_form,
     normalize_at_point,
     normalize_cone,
@@ -47,6 +48,61 @@ def test_point_moved_to_origin():
     assert q.A == parse("x2*x3")
     # provenance: the stored change reproduces the stored equation
     assert linear_change(f, q.change) == q.full_equation()
+
+
+def _frame(point):
+    """The matrix normalize_at_point records: the point in column 0, then
+    the unit columns of every coordinate but the first nonzero one."""
+    pivot = next(i for i, c in enumerate(point) if not c.is_zero())
+    columns = [point] + [[ONE if i == j else ZERO for i in range(4)] for j in range(4) if j != pivot]
+    return tuple(tuple(columns[j][i] for j in range(4)) for i in range(4))
+
+
+@pytest.mark.parametrize("pivot", range(4))
+def test_point_move_agrees_with_the_dense_change(pivot):
+    """f = G(frame^-1 x) for a random G whose x0-degree at most 2 part may
+    come with a constant or linear term, at points whose first nonzero
+    coordinate is ``pivot``: the moved equation is dehomogenize(f(frame x)),
+    and the refusals come in the order 'does not lie', 'nonsingular',
+    'exceeds 2'."""
+    rng = random.Random(31 + pivot)
+    for case in range(6):
+        point = [ZERO] * 4
+        # case 0 keeps a pivot coordinate of 1; later coordinates may be 0
+        point[pivot] = ONE if case == 0 else random_coeff(rng)
+        if point[pivot].is_zero():
+            point[pivot] = GaussianRational(2, -1)
+        for j in range(pivot + 1, 4):
+            if case % 2 or rng.random() < 0.5:
+                point[j] = random_coeff(rng)
+        matrix = _frame(point)
+        terms = {}
+        for _ in range(rng.randint(4, 12)):
+            mono = [0, 0, 0, 0]
+            for _ in range(4):
+                mono[rng.randrange(4)] += 1
+            # a constant or linear part only now and then
+            if mono[0] <= 2 or rng.random() < 0.15:
+                terms[tuple(mono)] = random_coeff(rng)
+        g = Polynomial(terms)
+        if g.is_zero():
+            continue
+        f = linear_change(g, mat_inverse(matrix))
+        expected = dehomogenize(linear_change(f, matrix), 0)
+        assert expected == dehomogenize(g, 0)
+        if not expected.homogeneous_component(0).is_zero():
+            refusal = "not lie"
+        elif not expected.homogeneous_component(1).is_zero():
+            refusal = "nonsingular"
+        elif expected.homogeneous_component(2).is_zero():
+            refusal = "exceeds 2"
+        else:
+            q = normalize_at_point(f, point)
+            assert q.change == matrix
+            assert q.affine_equation() == expected
+            continue
+        with pytest.raises(GeometryError, match=refusal):
+            normalize_at_point(f, point)
 
 
 def test_tangent_cone_ranks():
@@ -111,7 +167,6 @@ def test_rank_invariant_under_point_fixing_changes():
     rng = random.Random(23)
     f = parse("x0^2*x2*x3 + x0*(x1^2*x2 + x2^3) + x1^4 + x3^4")
     base_rank = tangent_cone_rank(normalize_at_point(f, P0))
-    from quarticvp.quartic import mat_inverse
 
     count = 0
     while count < 10:
