@@ -2,10 +2,10 @@
 
 Given a homogeneous quartic F and a point P on it, the surface is moved to
 coordinates with P = (1:0:0:0) and written as x0^2*A + x0*B + C with A, B,
-C of degrees 2, 3, 4 in x1, x2, x3.  The rank of A sorts the singularity
-into the three branches the classifier knows (rank 3, rank 2, rank 1), and
-``normalize_cone`` brings the tangent cone of a quartic (``normal_form``)
-or of a local germ to literally x2*x3 or x3^2.
+C of degrees 2, 3, 4 in x1, x2, x3, with A in normal form: literally
+x2*x3 (rank 2), literally x3^2 (rank 1), or of rank 3.  These are the
+three branches the classifier knows.  ``normalize_cone`` brings the tangent
+cone of a quartic (``normal_form``) or of a local germ to x2*x3 or x3^2.
 
 All changes of coordinates are recorded as an invertible 4x4 matrix so the
 normalized equation can be audited against the input.
@@ -153,25 +153,8 @@ def factor_rank2(q: Polynomial):
         key = (min(k, o), max(k, o))
         lvec[o] = a[key] / (d * 2)
     lpoly = _linear_form(lvec)
-    residual = q - (lpoly * lpoly).scale(d)
-    u, v = others
-    p = residual.coefficient(quad_monomial(u + 1, u + 1))
-    w = residual.coefficient(quad_monomial(u + 1, v + 1))
-    r = residual.coefficient(quad_monomial(v + 1, v + 1))
-    # rank 2 forces the residual binary form to be c*M^2
-    if not p.is_zero():
-        c, mvec = p, [ZERO, ZERO, ZERO]
-        mvec[u] = ONE
-        mvec[v] = w / (p * 2)
-    elif not r.is_zero():
-        c, mvec = r, [ZERO, ZERO, ZERO]
-        mvec[v] = ONE
-        mvec[u] = w / (r * 2)
-    else:
-        raise ValueError(f"{format_poly(q)} is not a rank-2 quadratic form")
-    mpoly = _linear_form(mvec)
-    if residual != (mpoly * mpoly).scale(c):
-        raise ValueError(f"{format_poly(q)} is not a rank-2 quadratic form")
+    # rank 2 forces the residual, a binary form in the others, to be c*M^2
+    c, mvec = rank1_square(q - (lpoly * lpoly).scale(d))
     # q = d L^2 + c M^2 = d (L + sM)(L - sM) with s^2 = -c/d
     s = sqrt_if_exists(-(c / d))
     if s is None:
@@ -237,14 +220,20 @@ def extend_to_4x4(s3):
 
 # -- the normalized quartic -------------------------------------------------------
 
+X2X3 = parse("x2*x3")
+X3SQ = parse("x3^2")
+
 
 @dataclass(frozen=True)
 class NormalizedQuartic:
-    """A quartic x0^2*A + x0*B + C at P = (1:0:0:0), plus provenance.
+    """A quartic x0^2*A + x0*B + C at P = (1:0:0:0) in normal form, plus
+    provenance.
 
-    ``change`` is the substitution matrix that turns the original input
-    into this representative: F_stored(x) = F_input(change . x) up to a
-    constant factor (normalizing a rank-1 cone divides by one).
+    A is literally x2*x3 (rank 2), literally x3^2 (rank 1) or of rank 3;
+    the constructor refuses any other A.  ``change`` is the substitution
+    matrix that turns the original input into this representative:
+    F_stored(x) = F_input(change . x) up to a constant factor (normalizing
+    a rank-1 cone divides by one).
     """
 
     A: Polynomial
@@ -260,17 +249,8 @@ class NormalizedQuartic:
                 continue
             if not part.is_homogeneous() or part.total_degree() != deg or 0 in part.variables():
                 raise GeometryError(f"part of degree {deg} is malformed")
-
-    @staticmethod
-    def from_affine(g: Polynomial, change) -> "NormalizedQuartic":
-        """Split an affine equation at the origin into its degree-2, 3 and 4
-        parts A, B, C."""
-        return NormalizedQuartic(
-            A=g.homogeneous_component(2),
-            B=g.homogeneous_component(3),
-            C=g.homogeneous_component(4),
-            change=change,
-        )
+        if self.A != X2X3 and self.A != X3SQ and quadratic_rank(self.A) != 3:
+            raise GeometryError("tangent cone is not in normal form (x2*x3, x3^2 or rank 3)")
 
     def full_equation(self) -> Polynomial:
         x0 = Polynomial.variable(0)
@@ -299,7 +279,7 @@ class NormalizedQuartic:
 
 
 def normalize_at_point(f: Polynomial, point) -> NormalizedQuartic:
-    """Move ``point`` to (1:0:0:0) and split off A, B, C.
+    """Move ``point`` to (1:0:0:0) and return the quartic in normal form.
 
     Rejects points off the surface, nonsingular points, and points of
     multiplicity 3 or more; only double points are in the canonical range.
@@ -330,15 +310,7 @@ def normalize_at_point(f: Polynomial, point) -> NormalizedQuartic:
         raise GeometryError("the point does not lie on the quartic")
     if not g.homogeneous_component(1).is_zero():
         raise GeometryError("the point is a nonsingular point of the quartic")
-    return NormalizedQuartic.from_affine(g, matrix)
-
-
-def tangent_cone_rank(q: NormalizedQuartic) -> int:
-    return quadratic_rank(q.A)
-
-
-X2X3 = parse("x2*x3")
-X3SQ = parse("x3^2")
+    return normal_form(g, matrix)
 
 
 def normalize_cone(g: Polynomial):
@@ -374,16 +346,25 @@ def normalize_cone(g: Polynomial):
     return out, m4
 
 
-def normal_form(q: NormalizedQuartic) -> NormalizedQuartic:
-    """Bring A to literally x2*x3 (rank 2) or x3^2 (rank 1).
+def normal_form(g: Polynomial, change) -> NormalizedQuartic:
+    """The normalized quartic of an affine equation ``g`` at a double point
+    at the origin, reached from the input by the substitution ``change``.
 
-    Rank-3 inputs and inputs already in normal form are returned unchanged;
-    see ``normalize_cone`` for the rest.
+    A cone of rank 2 or 1 that is not yet literally x2*x3 or x3^2 is brought
+    there by ``normalize_cone``, whose substitution is composed onto
+    ``change``; any other cone is left as it is for the constructor to
+    accept (rank 3) or refuse.  Then ``g`` splits into A, B, C.
     """
-    if q.A == X2X3 or q.A == X3SQ or tangent_cone_rank(q) == 3:
-        return q
-    g, m4 = normalize_cone(q.affine_equation())
-    return NormalizedQuartic.from_affine(g, mat_mul(q.change, m4))
+    quad = g.homogeneous_component(2)
+    if quad != X2X3 and quad != X3SQ and 0 < quadratic_rank(quad) < 3:
+        g, m4 = normalize_cone(g)
+        change = mat_mul(change, m4)
+    return NormalizedQuartic(
+        A=g.homogeneous_component(2),
+        B=g.homogeneous_component(3),
+        C=g.homogeneous_component(4),
+        change=change,
+    )
 
 
 # -- named coefficients -----------------------------------------------------------

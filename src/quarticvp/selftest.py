@@ -22,7 +22,7 @@ from .vpanalyzer import enumerate_vp, vp_set
 
 LABELS = {
     "a19_classification": "A19 fixture classifies as A>=8",
-    "a19_vp_set": "A19 vp weights are exactly (1,1,1),(1,1,2)",
+    "a19_vp_set": "A19 vp weights are exactly (1,1,1),(1,1,2) in both fixture frames",
     "a19_coordinate_change": "recorded coordinate change is term-for-term exact",
     "key_lemma": "stepwise vp iff direct discrepancy zero",
     "bounds": "a <= ceil(n/2), a+b <= n+1 on A_n; discrepancies >= 0",
@@ -57,10 +57,15 @@ def a19_classification() -> list:
 
 
 def a19_vp_set() -> list:
-    weights = vp_set(enumerate_vp(_a19(), max_a=4, max_b=12))
-    if weights != {(1, 1, 1), (1, 1, 2)}:
-        return [f"vp set {sorted(weights)}"]
-    return []
+    failures = []
+    for frame, f in (
+        ("original", fixtures.a19_original()),
+        ("tangent-cone form", fixtures.a19_tangent_cone_form()),
+    ):
+        weights = vp_set(enumerate_vp(normalize_at_point(f, (1, 0, 0, 0)), max_a=4, max_b=12))
+        if weights != {(1, 1, 1), (1, 1, 2)}:
+            failures.append(f"{frame}: vp set {sorted(weights)}")
+    return failures
 
 
 def a19_coordinate_change() -> list:

@@ -33,10 +33,8 @@ from .quartic import (
     X3SQ,
     CoefficientTable,
     coefficients,
-    normal_form,
     normalize_cone,
     quadratic_rank,
-    tangent_cone_rank,
 )
 
 MAX_REFINE_DEPTH = 4
@@ -481,18 +479,17 @@ def classify_de(q: NormalizedQuartic):
 
 
 def classify(q: NormalizedQuartic):
-    """Full classification: rank dispatch, then the matching criteria."""
-    rank = tangent_cone_rank(q)
-    if rank == 3:
-        cert = Certificate()
-        # the rank of A is the data of the first blowup: an irreducible
-        # exceptional conic resolves the point at once
-        cert.add("tangent cone rank", 3, "A1", step=1)
-        return TypeTag("A", 1), cert
-    q = normal_form(q)
-    if rank == 2:
+    """Full classification: dispatch on the normal-form A, then the
+    matching criteria."""
+    if q.A == X2X3:
         return classify_a(q)
-    return classify_de(q)
+    if q.A == X3SQ:
+        return classify_de(q)
+    cert = Certificate()
+    # any other A has rank 3, the data of the first blowup: an irreducible
+    # exceptional conic resolves the point at once
+    cert.add("tangent cone rank", 3, "A1", step=1)
+    return TypeTag("A", 1), cert
 
 
 def brute_force_classify(q: NormalizedQuartic):

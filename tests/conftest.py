@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from quarticvp.field import GaussianRational
+from quarticvp.field import GaussianRational, ONE, ZERO
 from quarticvp.poly import Polynomial
+from quarticvp.quartic import mat_inverse
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +41,22 @@ def random_poly(rng: random.Random, max_terms=6, max_degree=4) -> Polynomial:
             mono[rng.randrange(4)] += 1
         terms[tuple(mono)] = random_coeff(rng)
     return Polynomial(terms)
+
+
+def random_point_fixing_frame(rng: random.Random):
+    """An invertible 4x4 matrix over Q(i) whose first column is e0, so the
+    change x -> M x keeps the marked point (1:0:0:0); its other entries are
+    random."""
+    while True:
+        matrix = [[ZERO] * 4 for _ in range(4)]
+        matrix[0][0] = ONE
+        for j in range(1, 4):
+            matrix[0][j] = random_coeff(rng)
+            for i in range(1, 4):
+                matrix[i][j] = random_coeff(rng)
+        matrix = tuple(tuple(row) for row in matrix)
+        try:
+            mat_inverse(matrix)
+        except ValueError:
+            continue
+        return matrix

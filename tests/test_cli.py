@@ -10,6 +10,7 @@ from quarticvp.errors import PolyParseError
 
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "quarticvp" / "data"
 A19 = str(FIXTURE / "a19_tangent_cone_form.txt")
+A19_ORIGINAL = str(FIXTURE / "a19_original.txt")
 
 
 def run(capsys, *argv):
@@ -44,7 +45,25 @@ def test_vp_fixture(capsys):
 def test_check_command(capsys):
     code, out, _ = run(capsys, "check", A19, "--weights", "1,1,2")
     assert code == 0
-    assert "volume preserving" in out
+    assert out.splitlines()[0] == "weights (1, 1, 2): volume preserving"
+
+
+@pytest.mark.parametrize(
+    "argv,verdict",
+    [
+        (("vp", "--max-a", "4"), "volume preserving weights: (1, 1, 1), (1, 1, 2)"),
+        (("check", "--weights", "1,1,2"), "weights (1, 1, 2): volume preserving"),
+    ],
+    ids=["vp", "check"],
+)
+def test_a19_verdicts_do_not_depend_on_the_input_frame(capsys, argv, verdict):
+    # in its original coordinates the A19 point has the tangent cone
+    # 16*(x1^2 + x2^2); every command reads the normal-form frame
+    command, *options = argv
+    for fixture in (A19_ORIGINAL, A19):
+        code, out, _ = run(capsys, command, fixture, *options)
+        assert code == 0
+        assert verdict in out.splitlines()
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -80,11 +99,17 @@ def test_geometry_error_exit_code(capsys, tmp_path):
     assert code == 3
 
 
-def test_field_extension_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv", [("classify",), ("vp",), ("check", "--weights", "1,1,2")], ids=lambda a: a[0]
+)
+def test_field_extension_exit_code(capsys, tmp_path, argv):
+    # the cone x1^2 + 2*x2^2 splits only over Q(i, sqrt(2))
     hard = tmp_path / "hard.txt"
     hard.write_text("x0^2*(x1^2 + 2*x2^2) + x0*x1^3 + x3^4")
-    code, _, err = run(capsys, "classify", str(hard))
+    command, *options = argv
+    code, _, err = run(capsys, command, str(hard), *options)
     assert code == 4
+    assert err.startswith("field extension required: ")
 
 
 # (exit code, stderr prefix) of every class in errors.py, and of a

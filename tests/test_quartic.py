@@ -15,11 +15,11 @@ from quarticvp.quartic import (
     normal_form,
     normalize_at_point,
     normalize_cone,
-    tangent_cone_rank,
+    quadratic_rank,
 )
 from quarticvp.singclass import TypeTag, classify
 
-from conftest import random_coeff
+from conftest import random_coeff, random_point_fixing_frame
 
 P0 = (1, 0, 0, 0)
 
@@ -62,9 +62,10 @@ def _frame(point):
 def test_point_move_agrees_with_the_dense_change(pivot):
     """f = G(frame^-1 x) for a random G whose x0-degree at most 2 part may
     come with a constant or linear term, at points whose first nonzero
-    coordinate is ``pivot``: the moved equation is dehomogenize(f(frame x)),
-    and the refusals come in the order 'does not lie', 'nonsingular',
-    'exceeds 2'."""
+    coordinate is ``pivot``: the result is the normal form of
+    dehomogenize(f(frame x)) reached through the frame, a cone that does not
+    split over Q(i) is refused on both sides, and the refusals come in the
+    order 'does not lie', 'nonsingular', 'exceeds 2'."""
     rng = random.Random(31 + pivot)
     for case in range(6):
         point = [ZERO] * 4
@@ -97,56 +98,63 @@ def test_point_move_agrees_with_the_dense_change(pivot):
         elif expected.homogeneous_component(2).is_zero():
             refusal = "exceeds 2"
         else:
-            q = normalize_at_point(f, point)
-            assert q.change == matrix
-            assert q.affine_equation() == expected
+            try:
+                oracle = normal_form(expected, matrix)
+            except FieldExtensionRequired:
+                with pytest.raises(FieldExtensionRequired):
+                    normalize_at_point(f, point)
+                continue
+            assert normalize_at_point(f, point) == oracle
             continue
         with pytest.raises(GeometryError, match=refusal):
             normalize_at_point(f, point)
 
 
 def test_tangent_cone_ranks():
-    assert tangent_cone_rank(
-        normalize_at_point(parse("x0^2*(x1^2 + x2^2 + x3^2) + x1^4"), P0)
+    assert quadratic_rank(
+        normalize_at_point(parse("x0^2*(x1^2 + x2^2 + x3^2) + x1^4"), P0).A
     ) == 3
-    assert tangent_cone_rank(
-        normalize_at_point(parse("x0^2*x2*x3 + x1^4"), P0)
+    assert quadratic_rank(
+        normalize_at_point(parse("x0^2*x2*x3 + x1^4"), P0).A
     ) == 2
-    assert tangent_cone_rank(
-        normalize_at_point(parse("x0^2*x3^2 + x1^4"), P0)
+    assert quadratic_rank(
+        normalize_at_point(parse("x0^2*x3^2 + x1^4"), P0).A
     ) == 1
 
 
 def test_normal_form_rank2_needs_i():
-    q = normalize_at_point(parse("x0^2*(x1^2 + x2^2) + x0*x1^3 + x3^4"), P0)
-    q2 = normal_form(q)
-    assert q2.A == parse("x2*x3")
-    assert linear_change(parse("x0^2*(x1^2 + x2^2) + x0*x1^3 + x3^4"), q2.change) == q2.full_equation()
+    f = parse("x0^2*(x1^2 + x2^2) + x0*x1^3 + x3^4")
+    q = normal_form(dehomogenize(f, 0), mat_identity(4))
+    assert q.A == parse("x2*x3")
+    assert linear_change(f, q.change) == q.full_equation()
+    assert normalize_at_point(f, P0) == q
 
 
 def test_normal_form_requires_field_extension():
-    q = normalize_at_point(parse("x0^2*(x1^2 + 2*x2^2) + x0*x1^3 + x3^4"), P0)
+    f = parse("x0^2*(x1^2 + 2*x2^2) + x0*x1^3 + x3^4")
     with pytest.raises(FieldExtensionRequired):
-        normal_form(q)
+        normal_form(dehomogenize(f, 0), mat_identity(4))
+    with pytest.raises(FieldExtensionRequired):
+        normalize_at_point(f, P0)
 
 
 def test_rank1_scale_needs_no_square_root():
     # 2*F is the same surface as F, though 2 is not a square in Q(i)
     q = generate(GenSpec(TypeTag("D", 4), "generic", 0))
     scaled = normalize_at_point(q.full_equation().scale(2), P0)
-    assert normal_form(scaled).full_equation() == q.full_equation()
+    assert scaled.full_equation() == q.full_equation()
     (tag, cert), (tag2, cert2) = classify(q), classify(scaled)
     assert tag2 == tag == TypeTag("D", 4)
     assert cert2.to_json() == cert.to_json()
 
 
 def test_normal_form_rank1():
-    q = normalize_at_point(
-        parse("x0^2*(x1^2 + 2*x1*x3 + x3^2) + x0*x2^3 + x1^4"), P0
-    )
-    q2 = normal_form(q)
-    assert q2.A == parse("x3^2")
-    assert normal_form(q2) is q2
+    f = parse("x0^2*(x1^2 + 2*x1*x3 + x3^2) + x0*x2^3 + x1^4")
+    q = normal_form(dehomogenize(f, 0), mat_identity(4))
+    assert q.A == parse("x3^2")
+    # a cone already in normal form multiplies no matrix
+    again = normal_form(q.affine_equation(), q.change)
+    assert again == q and again.change is q.change
 
 
 def test_normalize_cone_on_germs():
@@ -166,25 +174,11 @@ def test_normalize_cone_on_germs():
 def test_rank_invariant_under_point_fixing_changes():
     rng = random.Random(23)
     f = parse("x0^2*x2*x3 + x0*(x1^2*x2 + x2^3) + x1^4 + x3^4")
-    base_rank = tangent_cone_rank(normalize_at_point(f, P0))
+    base_rank = quadratic_rank(normalize_at_point(f, P0).A)
 
-    count = 0
-    while count < 10:
-        # fixing P = (1:0:0:0) means the first column is (1, 0, 0, 0)
-        matrix = [[ZERO] * 4 for _ in range(4)]
-        matrix[0][0] = ONE
-        for j in range(1, 4):
-            matrix[0][j] = random_coeff(rng)
-            for i in range(1, 4):
-                matrix[i][j] = random_coeff(rng)
-        matrix = tuple(tuple(row) for row in matrix)
-        try:
-            mat_inverse(matrix)
-        except ValueError:
-            continue
-        count += 1
-        moved = linear_change(f, matrix)
-        assert tangent_cone_rank(normalize_at_point(moved, P0)) == base_rank
+    for _ in range(10):
+        moved = linear_change(f, random_point_fixing_frame(rng))
+        assert quadratic_rank(normalize_at_point(moved, P0).A) == base_rank
 
 
 def test_coefficient_table_and_reconstruction():
@@ -229,3 +223,12 @@ def test_json_roundtrip():
     back = NormalizedQuartic.from_json(data)
     assert back.A == q.A and back.B == q.B and back.C == q.C
     assert back.change == q.change
+
+
+@pytest.mark.parametrize("a", ["x1*x2", "x1^2 + x2^2"])
+def test_from_json_refuses_a_cone_not_in_normal_form(a):
+    # rank 2 but not literally x2*x3: the constructor holds the invariant
+    data = normalize_at_point(parse("x0^2*x2*x3 + x0*x1^3 + x2^4"), P0).to_json()
+    data["A"] = a
+    with pytest.raises(GeometryError, match="normal form"):
+        NormalizedQuartic.from_json(data)

@@ -62,7 +62,10 @@ def test_a19_classification_catches_a_wrong_type(monkeypatch):
 
 def test_a19_vp_set_catches_a_wrong_set(monkeypatch):
     monkeypatch.setattr(selftest, "vp_set", lambda verdicts: {(1, 1, 1)})
-    assert selftest.a19_vp_set() == ["vp set [(1, 1, 1)]"]
+    assert selftest.a19_vp_set() == [
+        "original: vp set [(1, 1, 1)]",
+        "tangent-cone form: vp set [(1, 1, 1)]",
+    ]
 
 
 def test_a19_coordinate_change_catches_a_wrong_image(monkeypatch):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from quarticvp.poly import parse, permute_variables
+from quarticvp.generator import GENERATOR_TARGETS, GenSpec
+from quarticvp.poly import linear_change, parse, permute_variables
 from quarticvp.quartic import normalize_at_point
 from quarticvp.singclass import TypeTag, classify
 from quarticvp.vpanalyzer import (
@@ -12,6 +15,8 @@ from quarticvp.vpanalyzer import (
     sarkisov_filter,
     vp_set,
 )
+
+from conftest import random_point_fixing_frame
 
 P0 = (1, 0, 0, 0)
 
@@ -109,3 +114,18 @@ def test_monotone_specialization():
     deeper_set = vp_set(enumerate_vp(deeper, tag=tag))
     assert (1, 2, 3) in base_set
     assert {(1, 2, 3), (1, 2, 5)} <= deeper_set
+
+
+@pytest.mark.parametrize(
+    "target", [t for t in GENERATOR_TARGETS if t.family == "A"], ids=lambda t: t.label()
+)
+def test_a_family_vp_set_is_invariant_under_point_fixing_frames(target, witness_corpus):
+    """x -> M x with M e0 = e0 keeps the marked point (1:0:0:0) but moves the
+    tangent cone off x2*x3; read in the normal-form frame, the seed-0
+    generic witness keeps its vp set in two random frames."""
+    q = dict(witness_corpus)[GenSpec(target, "generic", 0)]
+    expected = vp_set(enumerate_vp(q, max_b=6, tag=target))
+    rng = random.Random(target.index)
+    for _ in range(2):
+        moved = linear_change(q.full_equation(), random_point_fixing_frame(rng))
+        assert vp_set(enumerate_vp(normalize_at_point(moved, P0), max_b=6, tag=target)) == expected
