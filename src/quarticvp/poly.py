@@ -202,7 +202,7 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
 
     Variables absent from ``images`` map to themselves.  When every image
     is a monomial the exponent arithmetic is done directly, which keeps the
-    blowup chart maps cheap.
+    blowup chart maps cheap, and each power of an image coefficient is taken once.
     """
     images = {i: _as_poly(g) for i, g in images.items()}
     for i in range(NVARS):
@@ -212,7 +212,7 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
         parts = {}
         for i, g in images.items():
             ((mono, coeff),) = g.terms.items()
-            parts[i] = (mono, None if coeff.is_one() else coeff)
+            parts[i] = (mono, None if coeff.is_one() else {1: coeff})
         terms = {}
         for m, c in f.terms.items():
             out = [0, 0, 0, 0]
@@ -220,11 +220,13 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
             for i, e in enumerate(m):
                 if not e:
                     continue
-                mono, k = parts[i]
+                mono, powers = parts[i]
                 for j in range(NVARS):
                     out[j] += mono[j] * e
-                if k is not None:
-                    coeff = coeff * k**e
+                if powers is not None:
+                    if e not in powers:
+                        powers[e] = powers[1] ** e
+                    coeff = coeff * powers[e]
             mono = tuple(out)
             # a chart map is injective on monomials: most images need no sum
             s = terms.get(mono)

@@ -108,119 +108,116 @@ class Certificate:
 
 
 # -- the A_n criteria chain -------------------------------------------------------
+# B = b0*x1^3 + x1^2*(beta2*x2 + beta3*x3) + x1*b2 + b3 and C = c0*x1^4 + x1^3*c1 + x1^2*c2
+# + x1*c3 + c4, with b_k, c_k binary forms of degree k in (x2, x3); "at beta" means at
+# (x2, x3) = (beta3, beta2).  The chain quantities come in four stages, one per criterion
+# from the third on; each stage forms its products once and passes on those later ones read.
 
 
-def _b2(t: CoefficientTable, x, y):
-    return t.rho2 * x * x + t.rho23 * x * y + t.rho3 * y * y
+def _twice(x):
+    return x + x
 
 
-def _b3(t: CoefficientTable, x, y):
-    return t.sigma0 * x**3 + t.sigma1 * x * x * y + t.sigma2 * x * y * y + t.sigma3 * y**3
+def _quadratic(k, p):
+    """k0*x^2 + k1*x*y + k2*y^2, given the products p = (x^2, x*y, y^2)."""
+    return k[0] * p[0] + k[1] * p[1] + k[2] * p[2]
 
 
-def _c1(t: CoefficientTable, x, y):
-    return t.delta2 * x + t.delta3 * y
+def _quadratic_gradient(k, x, y):
+    """The gradient of k0*x^2 + k1*x*y + k2*y^2 at (x, y)."""
+    return _twice(k[0] * x) + k[1] * y, k[1] * x + _twice(k[2] * y)
 
 
-def _c2(t: CoefficientTable, x, y):
-    return t.eps2 * x * x + t.eps23 * x * y + t.eps3 * y * y
+def _cubic(k, p, x, y):
+    """k0*x^3 + k1*x^2*y + k2*x*y^2 + k3*y^3, given p = (x^2, x*y, y^2)."""
+    return p[0] * (k[0] * x + k[1] * y) + p[2] * (k[2] * x + k[3] * y)
 
 
-def _c3(t: CoefficientTable, x, y):
-    return t.tau0 * x**3 + t.tau1 * x * x * y + t.tau2 * x * y * y + t.tau3 * y**3
+def _cubic_gradient(k, p):
+    """The gradient of the cubic of ``_cubic``, given p = (x^2, x*y, y^2)."""
+    a, d = k[0] * p[0], k[3] * p[2]
+    return a + _twice(a + k[1] * p[1]) + k[2] * p[2], d + _twice(d + k[2] * p[1]) + k[1] * p[0]
 
 
-def _c4(t: CoefficientTable, x, y):
-    return (
-        t.lam0 * x**4
-        + t.lam1 * x**3 * y
-        + t.lam2 * x * x * y * y
-        + t.lam3 * x * y**3
-        + t.lam4 * y**4
+def _zeta_stage(t: CoefficientTable, b23):
+    """zeta = b2 - c1 at beta, and the products bp = (beta3^2, beta2*beta3, beta2^2)."""
+    bp = (t.beta3 * t.beta3, b23, t.beta2 * t.beta2)
+    zeta = _quadratic((t.rho2, t.rho23, t.rho3), bp) - t.delta2 * t.beta3 - t.delta3 * t.beta2
+    return zeta, bp
+
+
+def _alpha_stage(t: CoefficientTable, bp):
+    """xi = grad(c1 - b2) at beta, x23 = xi2*xi3, and alpha = c2 - b3 at beta."""
+    r2, r3 = _quadratic_gradient((t.rho2, t.rho23, t.rho3), t.beta3, t.beta2)
+    xi2, xi3 = t.delta2 - r2, t.delta3 - r3
+    sigma = (t.sigma0, t.sigma1, t.sigma2, t.sigma3)
+    alpha = _quadratic((t.eps2, t.eps23, t.eps3), bp) - _cubic(sigma, bp, t.beta3, t.beta2)
+    return xi2, xi3, xi2 * xi3, alpha
+
+
+def _theta_stage(t: CoefficientTable, bp, xi2, xi3, x23):
+    """omega and eta, the derivatives of -b3 and c2 at beta along (xi3, xi2), theta =
+    b2(xi3, xi2) + omega + eta - c3 at beta, and the carry the mu stage reads."""
+    g2, g3 = _cubic_gradient((t.sigma0, t.sigma1, t.sigma2, t.sigma3), bp)
+    e2, e3 = _quadratic_gradient((t.eps2, t.eps23, t.eps3), t.beta3, t.beta2)
+    omega = -(xi3 * g2 + xi2 * g3)
+    eta = xi3 * e2 + xi2 * e3
+    xp = (xi3 * xi3, x23, xi2 * xi2)
+    tau = _cubic((t.tau0, t.tau1, t.tau2, t.tau3), bp, t.beta3, t.beta2)
+    theta = _quadratic((t.rho2, t.rho23, t.rho3), xp) + omega + eta - tau
+    return (omega, eta, theta), (xp, g2 - e2, g3 - e3)
+
+
+def _mu_stage(t: CoefficientTable, bp, xi2, xi3, carry):
+    """gamma2, gamma3 and mu, from the theta stage's carry.
+
+    gamma = grad(b3 - c2) at beta - grad b2 at (xi3, xi2).  mu = c4 at beta, plus
+    the second-order term of c2 - b3 and minus the first-order term of c3, both
+    at beta along (xi3, xi2)."""
+    xx, xy, yy = bp
+    xp, d2, d3 = carry
+    r2, r3 = _quadratic_gradient((t.rho2, t.rho23, t.rho3), xi3, xi2)
+    s0, s3 = t.sigma0 * t.beta3, t.sigma3 * t.beta2
+    second = (
+        t.eps2 - s0 - _twice(s0) - t.sigma1 * t.beta2,
+        t.eps23 - _twice(t.sigma1 * t.beta3 + t.sigma2 * t.beta2),
+        t.eps3 - s3 - _twice(s3) - t.sigma2 * t.beta3,
     )
+    h2, h3 = _cubic_gradient((t.tau0, t.tau1, t.tau2, t.tau3), bp)
+    c4 = xx * (t.lam0 * xx + t.lam1 * xy + t.lam2 * yy) + yy * (t.lam3 * xy + t.lam4 * yy)
+    return d2 - r2, d3 - r3, _quadratic(second, xp) - xi3 * h2 - xi2 * h3 + c4
+
+
+_A_CHAIN_NAMES = "zeta xi2 xi3 alpha omega eta theta gamma2 gamma3 mu".split()
 
 
 def a_chain_quantities(t: CoefficientTable) -> dict:
     """All named quantities of the criteria chain, evaluated exactly."""
-    zeta = _b2(t, t.beta3, t.beta2) - _c1(t, t.beta3, t.beta2)
-    xi2 = -t.rho2 * t.beta3 * 2 - t.rho23 * t.beta2 + t.delta2
-    xi3 = -t.rho3 * t.beta2 * 2 - t.rho23 * t.beta3 + t.delta3
-    alpha = -_b3(t, t.beta3, t.beta2) + _c2(t, t.beta3, t.beta2)
-    omega = (
-        -t.sigma0 * 3 * xi3 * t.beta3**2
-        + t.sigma1 * (-xi3 * t.beta2 * t.beta3 * 2 - xi2 * t.beta3**2)
-        + t.sigma2 * (-xi3 * t.beta2**2 - xi2 * t.beta2 * t.beta3 * 2)
-        - t.sigma3 * 3 * xi2 * t.beta2**2
-    )
-    eta = (
-        t.eps2 * 2 * xi3 * t.beta3
-        + t.eps23 * xi3 * t.beta2
-        + t.eps23 * xi2 * t.beta3
-        + t.eps3 * 2 * xi2 * t.beta2
-    )
-    theta = _b2(t, xi3, xi2) + omega + eta - _c3(t, t.beta3, t.beta2)
-    gamma2 = (
-        -t.rho2 * 2 * xi3
-        - t.rho23 * xi2
-        + t.sigma0 * 3 * t.beta3**2
-        + t.sigma1 * 2 * t.beta2 * t.beta3
-        + t.sigma2 * t.beta2**2
-        - t.eps2 * 2 * t.beta3
-        - t.eps23 * t.beta2
-    )
-    gamma3 = (
-        -t.rho23 * xi3
-        - t.rho3 * 2 * xi2
-        + t.sigma3 * 3 * t.beta2**2
-        + t.sigma2 * 2 * t.beta2 * t.beta3
-        + t.sigma1 * t.beta3**2
-        - t.eps3 * 2 * t.beta2
-        - t.eps23 * t.beta3
-    )
-    mu = (
-        -t.sigma0 * 3 * t.beta3 * xi3**2
-        - t.sigma3 * 3 * t.beta2 * xi2**2
-        - t.sigma1 * 2 * t.beta3 * xi2 * xi3
-        - t.sigma2 * 2 * t.beta2 * xi2 * xi3
-        - t.sigma1 * xi3**2 * t.beta2
-        - t.sigma2 * xi2**2 * t.beta3
-        + t.eps2 * xi3**2
-        + t.eps23 * xi2 * xi3
-        + t.eps3 * xi2**2
-        - t.tau0 * 3 * t.beta3**2 * xi3
-        - t.tau3 * 3 * t.beta2**2 * xi2
-        + t.tau1 * (-t.beta2 * t.beta3 * xi3 * 2 - t.beta3**2 * xi2)
-        + t.tau2 * (-xi3 * t.beta2**2 - t.beta2 * t.beta3 * xi2 * 2)
-        + _c4(t, t.beta3, t.beta2)
-    )
-    return {
-        "zeta": zeta,
-        "xi2": xi2,
-        "xi3": xi3,
-        "alpha": alpha,
-        "omega": omega,
-        "eta": eta,
-        "theta": theta,
-        "gamma2": gamma2,
-        "gamma3": gamma3,
-        "mu": mu,
-    }
+    zeta, bp = _zeta_stage(t, t.beta2 * t.beta3)
+    xi2, xi3, x23, alpha = _alpha_stage(t, bp)
+    stage3, carry = _theta_stage(t, bp, xi2, xi3, x23)
+    values = (zeta, xi2, xi3, alpha, *stage3, *_mu_stage(t, bp, xi2, xi3, carry))
+    return dict(zip(_A_CHAIN_NAMES, values))
 
 
 def a_criteria(t: CoefficientTable):
     """The A_n criteria ladder, as (value, label when nonzero, label when zero).
 
     Criterion k (in yield order) settles A_{k+2} when nonzero and A>=k+3
-    when zero, at criteria step (k+3)//2.  The chain quantities are computed
-    once, and only when a reader goes past the first two criteria.
+    when zero, at criteria step (k+3)//2.  The ladder runs stage by stage:
+    a criterion's closed forms are computed when a reader reaches it.
     """
     yield t.b0, "b0 (*1)", "b0 (*1)"
-    yield t.c0 - t.beta2 * t.beta3, "c0 - beta2*beta3 (*2)", "c0 - beta2*beta3 (*2)"
-    d = a_chain_quantities(t)
-    yield d["zeta"], "zeta", "zeta (*3)"
-    yield d["xi2"] * d["xi3"] - d["alpha"], "xi2*xi3 - alpha (*4)", "xi2*xi3 - alpha (*4)"
-    yield d["theta"], "theta", "theta (*5)"
-    yield d["gamma2"] * d["gamma3"] - d["mu"], "gamma2*gamma3 - mu", "gamma2*gamma3 - mu"
+    b23 = t.beta2 * t.beta3
+    yield t.c0 - b23, "c0 - beta2*beta3 (*2)", "c0 - beta2*beta3 (*2)"
+    zeta, bp = _zeta_stage(t, b23)
+    yield zeta, "zeta", "zeta (*3)"
+    xi2, xi3, x23, alpha = _alpha_stage(t, bp)
+    yield x23 - alpha, "xi2*xi3 - alpha (*4)", "xi2*xi3 - alpha (*4)"
+    (_, _, theta), carry = _theta_stage(t, bp, xi2, xi3, x23)
+    yield theta, "theta", "theta (*5)"
+    gamma2, gamma3, mu = _mu_stage(t, bp, xi2, xi3, carry)
+    yield gamma2 * gamma3 - mu, "gamma2*gamma3 - mu", "gamma2*gamma3 - mu"
 
 
 def classify_a(q: NormalizedQuartic):

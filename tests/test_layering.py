@@ -5,8 +5,8 @@
   generator, the tables and the self-test for the subcommands that use them.
 * No module imports another module's underscore name; whatever two
   modules share is public in the module that defines it.
-* Only ``singclass`` evaluates the A_n chain quantities, so the criteria
-  ladder has one definition.
+* Only ``singclass`` evaluates the A_n chain quantities, whole or stage by
+  stage, so the criteria ladder has one definition.
 * Only ``quartic`` factors a tangent cone (``normalize_cone``), and only
   ``blowup`` steps through a toric chain (``toric_walk``).
 * Only ``singclass`` reads a germ's cone slots (``cone_slots``), and
@@ -83,13 +83,17 @@ def _calls(path, names) -> list:
     ]
 
 
+# the chain quantities, whole or one stage at a time
+A_CHAIN_STAGES = {"a_chain_quantities", "_zeta_stage", "_alpha_stage", "_theta_stage", "_mu_stage"}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_singclass_evaluates_the_a_chain(path):
     """The A_n criteria ladder lives in ``singclass.a_criteria``; other
     modules read the ladder instead of recomputing its quantities."""
     if path.name == "singclass.py":
         return
-    calls = _calls(path, {"a_chain_quantities"})
+    calls = _calls(path, A_CHAIN_STAGES)
     assert not calls, f"{path.name} calls {calls}"
 
 
