@@ -56,9 +56,10 @@ class ClassificationError(QuarticVPError):
 
 class ConsistencyViolation(Exception):
     """An internal cross-check failed: the direct discrepancy formula and
-    the stepwise toric description disagreed, or a computed normal form or
-    factorization did not reproduce its input.  This is an internal bug,
-    never a property of the input."""
+    the stepwise toric description disagreed, the blowup chain did not
+    confirm the D4 / D>4 / E class of the invariants of p1, or a computed
+    normal form or factorization did not reproduce its input.  This is an
+    internal bug, never a property of the input."""
 
     exit_code = 5
     label = "consistency violation"

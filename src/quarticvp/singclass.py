@@ -7,8 +7,13 @@ Two independent routes are implemented:
   of the resolution.
 * ``classify_local`` actually performs the blowups on a local equation,
   locating singular points on the exceptional curve with the Jacobian
-  criterion and univariate gcds.  It is the engine behind the D-E
-  refinement and doubles as a brute-force cross-check for the A chain.
+  criterion and univariate gcds.  It doubles as a brute-force cross-check
+  for the A chain.
+
+A rank-1 point takes both routes at once: ``de_coarse`` splits it into
+D4 / D>4 / E by the discriminant and Hessian of the cubic p1, and
+``classify_de`` confirms that class with the blowup chain, which also
+gives the exact index; a disagreement is a ``ConsistencyViolation``.
 
 Both work entirely over Q(i); the only failure mode is a tangent cone
 whose splitting needs a missing square root (FieldExtensionRequired).
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blowup import mirror_chart, point_chart
-from .errors import ClassificationError, GeometryError, NonNormalInput
+from .errors import ClassificationError, ConsistencyViolation, GeometryError, NonNormalInput
 from .field import ZERO
 from .poly import (
     Polynomial,
@@ -395,80 +400,55 @@ def classify_local(g: Polynomial):
     return tag, cert
 
 
-# -- the D-E quartic criteria ----------------------------------------------------
+# -- the D-E coarse split ----------------------------------------------------------
+# p1 = B(x1, x2, 0) = sigma0*s^3 + rho2*s^2*t + beta2*s*t^2 + b0*t^3 is the binary cubic whose
+# roots are the singular points of the first blowup on the exceptional line: three simple
+# roots make D4, a double root D>4 and a triple root E, as for cubic surfaces (Bruce and
+# Wall).  Its discriminant and Hessian covariant see roots at infinity too, so the split
+# needs no degree cases and no divisions.
 
 
-def de_case_data(t: CoefficientTable) -> dict:
-    """The named quantities of the rank-1 branch.
+def de_coarse(t: CoefficientTable, cert: Certificate) -> str:
+    """Coarse D4 / D>4 / E class of a rank-1 quartic from the invariants of p1.
 
-    p1(s) = b0 + beta2 s + rho2 s^2 + sigma0 s^3; for a genuine cubic the
-    depressed form s^3 + r1 s + s1 has discriminant D1 = -(4 r1^3 + 27 s1^2).
+    D4 when the discriminant is nonzero, E when the Hessian vanishes (a
+    triple root), D>4 otherwise (one double root).
     """
-    p1 = [t.b0, t.beta2, t.rho2, t.sigma0]
-    while p1 and p1[-1].is_zero():
-        p1.pop()
-    data = {"p1": p1, "degree": len(p1) - 1 if p1 else -1}
-    if data["degree"] == 3:
-        s0, r0 = t.sigma0, t.rho2
-        r1 = (t.beta2 * s0 * 3 - r0 * r0) / (s0 * s0 * 3)
-        s1 = (r0**3 * 2 - s0 * r0 * t.beta2 * 9 + s0 * s0 * t.b0 * 27) / (s0**3 * 27)
-        data["r1"] = r1
-        data["s1"] = s1
-        data["disc"] = -(r1**3 * 4 + s1 * s1 * 27)
-    elif data["degree"] == 2:
-        data["disc"] = t.beta2 * t.beta2 - t.rho2 * t.b0 * 4
-    return data
-
-
-def classify_de_coarse(q: NormalizedQuartic):
-    """Coarse D4 / D>4 / E split of a rank-1 quartic in normal form."""
-    if q.A != X3SQ:
-        raise GeometryError("classify_de requires the normal form A = x3^2")
-    t = coefficients(q)
-    data = de_case_data(t)
-    cert = Certificate()
-    d = data["degree"]
-    if d < 0:
-        raise NonNormalInput(
-            "p1 vanishes identically, contradicting normality of the surface"
-        )
-    cert.add("p1 degree", d, f"case d1={d}")
-    if d == 3:
-        cert.add("r1", data["r1"], "")
-        cert.add("s1", data["s1"], "")
-        cert.add("Delta1", data["disc"], "")
-        if data["disc"]:
-            coarse = "D4"
-        elif data["r1"]:
-            coarse = "D>4"
-        else:
-            coarse = "E"
-    elif d == 2:
-        cert.add("beta2^2 - 4*rho2*b0", data["disc"], "")
-        coarse = "D4" if data["disc"] else "D>4"
-    elif d == 1:
-        coarse = "D>4"
-    else:
-        coarse = "E"
-    cert.add("coarse class", coarse, "")
-    return coarse, cert
-
-
-def refine_de(q: NormalizedQuartic, coarse: str, cert: Certificate) -> TypeTag:
-    """Resolve D>4 / E down to the exact index by recursive blowups."""
-    if coarse == "D4":
-        return TypeTag("D", 4)
-    tag = _de_chain(q.affine_equation(), cert, MAX_REFINE_DEPTH)
-    if coarse == "E" and tag.family != "E":
-        raise ClassificationError("coarse E disagreed with the refinement")
-    if coarse == "D>4" and not (tag.family == "D" and (tag.index > 4 or not tag.exact)):
-        raise ClassificationError("coarse D>4 disagreed with the refinement")
-    return tag
+    a, b, c, d = t.sigma0, t.rho2, t.beta2, t.b0
+    if not (a or b or c or d):
+        raise NonNormalInput("p1 vanishes identically, contradicting normality of the surface")
+    bc, ad = b * c, a * d
+    disc = bc * bc - a * c * c * c * 4 - b * b * b * d * 4 - ad * ad * 27 + bc * ad * 18
+    if disc:
+        cert.add("disc(p1)", disc, "nonzero: D4")
+        return "D4"
+    cert.add("disc(p1)", disc, "zero: D>4 or E")
+    hessian = (b * b - a * c * 3, bc - ad * 9, c * c - b * d * 3)
+    value = ", ".join(map(str, hessian))
+    if any(hessian):
+        cert.add("Hessian(p1)", value, "nonzero: D>4")
+        return "D>4"
+    cert.add("Hessian(p1)", value, "zero: E")
+    return "E"
 
 
 def classify_de(q: NormalizedQuartic):
-    coarse, cert = classify_de_coarse(q)
-    tag = refine_de(q, coarse, cert)
+    """D/E type of a rank-1 quartic in normal form (A = x3^2).
+
+    ``de_coarse`` gives the coarse class in closed form and the blowup
+    chain the exact type; the chain must confirm the coarse class at
+    every point, D4 included.
+    """
+    if q.A != X3SQ:
+        raise GeometryError("classify_de requires the normal form A = x3^2")
+    cert = Certificate()
+    coarse = de_coarse(coefficients(q), cert)
+    tag = _de_chain(q.affine_equation(), cert, MAX_REFINE_DEPTH)
+    chained = "E" if tag.family == "E" else "D4" if tag == TypeTag("D", 4) else "D>4"
+    if chained != coarse:
+        raise ConsistencyViolation(
+            f"the invariants of p1 give {coarse} but the blowup chain gives {tag.label()}"
+        )
     return tag, cert
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from quarticvp import cli, errors, quartic
+from quarticvp import cli, errors, poly, quartic, singclass
 from quarticvp.cli import main
 from quarticvp.errors import PolyParseError
 
@@ -190,6 +190,19 @@ def test_internal_check_exit_code(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "classify", str(cone))
     assert code == 5
     assert "internal normal form check failed" in err
+
+
+def test_de_chain_disagreeing_with_the_invariants_is_a_bug(capsys, tmp_path, monkeypatch):
+    # every D/E type is the closed form confirmed by the blowup chain, D4 too
+    monkeypatch.setattr(singclass, "_de_chain", lambda g, cert, depth: singclass.TypeTag("E", 6))
+    text = "x0^2*x3^2 + x0*(x1^3 + x2^3) + x1^4 + x2^4"
+    with pytest.raises(errors.ConsistencyViolation):
+        singclass.classify(quartic.normalize_at_point(poly.parse(text), (1, 0, 0, 0)))
+    d4 = tmp_path / "d4.txt"
+    d4.write_text(text)
+    code, _, err = run(capsys, "classify", str(d4))
+    assert code == 5
+    assert err.startswith("consistency violation: the invariants of p1 give D4")
 
 
 def test_point_flag(capsys, tmp_path):

@@ -15,6 +15,10 @@
 * Only ``quartic`` and ``vpanalyzer`` read ``SLOTS``: every other module
   asks ``vpanalyzer.vp_conditions`` which named coefficients a weight
   needs to vanish, so the vp rule has one definition.
+* ``ConsistencyViolation`` is raised only where a cross-check runs: the
+  factorization and normal-form checks of ``quartic``, the two vp routes
+  of ``vpanalyzer.analyze_weight`` and the two D/E routes of
+  ``singclass.classify_de``.
 * Only ``cli`` catches a bug (``ValueError``, ``ConsistencyViolation``, or
   anything as broad as ``Exception``); every other catch site catches
   refusals (``QuarticVPError`` and its subclasses) only.
@@ -159,6 +163,43 @@ def test_only_quartic_and_vpanalyzer_read_slots(path):
         or (isinstance(node, ast.Attribute) and node.attr == "SLOTS")
     ]
     assert not reads, f"{path.name} reads SLOTS at lines {reads}"
+
+
+# the functions that compare two routes or check a result against its input
+CROSS_CHECKS = {
+    "quartic.py": {"factor_rank2", "normalize_cone"},
+    "vpanalyzer.py": {"analyze_weight"},
+    "singclass.py": {"classify_de"},
+}
+
+
+def _raisers(path, name) -> list:
+    """(function, line) for every ``raise`` of ``name`` in ``path``; a
+    raise outside any function is under "<module>"."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(child.exc)}
+                if name in names:
+                    found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cross_checks_raise_consistency_violations(path):
+    allowed = CROSS_CHECKS.get(path.name, set())
+    raised = _raisers(path, "ConsistencyViolation")
+    stray = [f"{where} (line {line})" for where, line in raised if where not in allowed]
+    assert not stray, f"{path.name} raises ConsistencyViolation outside a cross-check: {stray}"
+    assert allowed <= {where for where, _ in raised}
 
 
 def _caught(path) -> list:

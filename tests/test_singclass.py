@@ -1,25 +1,32 @@
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quarticvp import fixtures
-from quarticvp.errors import ClassificationError, NonNormalInput
+from quarticvp.errors import ClassificationError, NonNormalInput, QuarticVPError
 from quarticvp.field import GaussianRational, ZERO
 from quarticvp.poly import linear_change, parse
 from quarticvp.quartic import (
     COEFF_NAMES,
     CoefficientTable,
     X2X3,
+    X3SQ,
     coefficients,
     normalize_at_point,
     quartic_from_table,
 )
 from quarticvp.singclass import (
+    Certificate,
     TypeTag,
     a_chain_quantities,
     brute_force_classify,
     classify,
     classify_local,
+    de_coarse,
 )
 
 P0 = (1, 0, 0, 0)
@@ -227,39 +234,156 @@ def test_classify_local_rejects_smooth_and_triple():
 
 
 def test_de_coarse_split_direct():
-    from quarticvp.quartic import X3SQ, quartic_from_table
-    from quarticvp.singclass import classify_de_coarse
-
     # p1 = 1 + t^3: nonzero discriminant
-    q = quartic_from_table(X3SQ, CoefficientTable(b0=1, sigma0=1, lam2=1))
-    assert classify_de_coarse(q)[0] == "D4"
+    assert de_coarse(CoefficientTable(b0=1, sigma0=1, lam2=1), Certificate()) == "D4"
     # p1 = t^3: one triple root
-    q = quartic_from_table(X3SQ, CoefficientTable(sigma0=1, lam0=1))
-    assert classify_de_coarse(q)[0] == "E"
+    assert de_coarse(CoefficientTable(sigma0=1, lam0=1), Certificate()) == "E"
     # degree-1 p1 is always D>4
-    q = quartic_from_table(X3SQ, CoefficientTable(beta2=1, lam0=1))
-    assert classify_de_coarse(q)[0] == "D>4"
+    assert de_coarse(CoefficientTable(beta2=1, lam0=1), Certificate()) == "D>4"
     # p1 identically zero contradicts normality
-    q = quartic_from_table(X3SQ, CoefficientTable(sigma1=1, lam0=1))
     with pytest.raises(NonNormalInput):
-        classify_de_coarse(q)
+        de_coarse(CoefficientTable(sigma1=1, lam0=1), Certificate())
 
 
 def test_de_coarse_cases():
-    # degree-3 squarefree p1: three A1 points
+    # degree-3 squarefree p1: three A1 points, and the chain confirms D4
     tag, cert = classify(
         normalize_at_point(parse("x0^2*x3^2 + x0*(x1^3 + x2^3) + x2^4"), P0)
     )
     assert tag == TypeTag("D", 4)
-    names = [e.name for e in cert.entries]
-    assert "Delta1" in names
+    entries = [(e.name, e.verdict) for e in cert.entries]
+    assert entries[0] == ("disc(p1)", "nonzero: D4")
+    assert ("line singularities", "D4") in entries
     # degree-1 p1 is always D>4
-    tag, _ = classify(
+    tag, cert = classify(
         normalize_at_point(
             parse("x0^2*x3^2 + x0*x1^2*x2 + x1^2*x3^2 + x2^4 + x2^3*x3"), P0
         )
     )
     assert tag.family == "D" and (tag.index > 4 or not tag.exact)
+    assert [e.name for e in cert.entries][:2] == ["disc(p1)", "Hessian(p1)"]
+
+
+def _de_cases_oracle(t):
+    """The coarse split as the degree cases of p1 stated it before the
+    invariants, with divisions by sigma0 for a genuine cubic."""
+    p1 = [t.b0, t.beta2, t.rho2, t.sigma0]
+    while p1 and p1[-1].is_zero():
+        p1.pop()
+    degree = len(p1) - 1
+    if degree < 0:
+        raise NonNormalInput("p1 vanishes identically")
+    if degree == 3:
+        s0, r0 = t.sigma0, t.rho2
+        r1 = (t.beta2 * s0 * 3 - r0 * r0) / (s0 * s0 * 3)
+        s1 = (r0**3 * 2 - s0 * r0 * t.beta2 * 9 + s0 * s0 * t.b0 * 27) / (s0**3 * 27)
+        disc = -(r1**3 * 4 + s1 * s1 * 27)
+        return "D4" if disc else "D>4" if r1 else "E"
+    if degree == 2:
+        return "D4" if t.beta2 * t.beta2 - t.rho2 * t.b0 * 4 else "D>4"
+    return "D>4" if degree == 1 else "E"
+
+
+def _small(rng, zero_bias=0.0):
+    if rng.random() < zero_bias:
+        return ZERO
+    im = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.3 else 0
+    return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), im)
+
+
+def _p1_tables(rng, count):
+    """Tables of p1 = sigma0*s^3 + rho2*s^2*t + beta2*s*t^2 + b0*t^3: raw
+    zero-biased draws, p1 = 0, and products of linear forms u*s + v*t with
+    planted double and triple roots, finite or at infinity (u = 0)."""
+    for k in range(count):
+        if k % 6 == 0:
+            p1 = [_small(rng, 0.45) for _ in range(4)]
+        elif k % 6 == 1:
+            p1 = [ZERO] * 4
+        else:
+            forms = []
+            for multiplicity in ((1, 1, 1), (2, 1), (3,))[k % 3]:
+                u = ZERO if rng.random() < 0.3 else _small(rng, 0.2)
+                v = _small(rng) if u else GaussianRational(1 + rng.randint(0, 2))
+                forms += [(u, v)] * multiplicity
+            (u1, v1), (u2, v2), (u3, v3) = forms
+            scale = _small(rng) or GaussianRational(1)
+            p1 = [
+                scale * u1 * u2 * u3,
+                scale * (u1 * u2 * v3 + u1 * v2 * u3 + v1 * u2 * u3),
+                scale * (u1 * v2 * v3 + v1 * u2 * v3 + v1 * v2 * u3),
+                scale * v1 * v2 * v3,
+            ]
+        yield CoefficientTable(**dict(zip(("sigma0", "rho2", "beta2", "b0"), p1)))
+
+
+def test_de_coarse_agrees_with_the_degree_cases():
+    """The discriminant and Hessian of p1 give the class the degree cases
+    gave, roots at infinity included, and refuse p1 = 0 the same way."""
+    rng = random.Random(1616)
+    seen = set()
+    for t in _p1_tables(rng, 3000):
+        try:
+            expected = _de_cases_oracle(t)
+        except NonNormalInput:
+            with pytest.raises(NonNormalInput):
+                de_coarse(t, Certificate())
+            seen.add("p1 = 0")
+            continue
+        assert de_coarse(t, Certificate()) == expected, t
+        seen.add((expected, "finite" if t.sigma0 else "at infinity"))
+    classes = {(c, where) for c in ("D4", "D>4", "E") for where in ("finite", "at infinity")}
+    assert classes | {"p1 = 0"} <= seen
+
+
+def test_de_coarse_discriminant_is_sympys():
+    sympy = pytest.importorskip("sympy")
+    a, b, c, d, s, t = sympy.symbols("a b c d s t")
+    binary = sympy.discriminant(a * s**3 + b * s**2 * t + c * s * t**2 + d * t**3, s)
+    generic = sympy.expand(binary.subs(t, 1))
+
+    def exact(x):
+        return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
+            x.im.numerator, x.im.denominator
+        )
+
+    rng = random.Random(77)
+    tables = [p1 for p1 in _p1_tables(rng, 40) if p1.sigma0 or p1.rho2 or p1.beta2 or p1.b0]
+    assert any(not p1.sigma0 for p1 in tables[:12])
+    for table in tables[:12]:
+        cert = Certificate()
+        de_coarse(table, cert)
+        values = {a: table.sigma0, b: table.rho2, c: table.beta2, d: table.b0}
+        delta = sympy.expand(generic.subs({k: exact(v) for k, v in values.items()}))
+        re, im = (Fraction(int(x.p), int(x.q)) for x in (sympy.re(delta), sympy.im(delta)))
+        assert cert.entries[0].name == "disc(p1)"
+        assert cert.entries[0].value == str(GaussianRational(re, im)), table
+
+
+def test_invariants_vs_blowups_on_raw_random_rank1_tables():
+    """The D/E twin of the A test above: on raw zero-biased x3^2 tables,
+    half of them with b0 = beta2 = 0 so that p1 has a multiple root, the
+    classifier (invariants confirmed by the chain) and the bare chain give
+    the same type or the same refusal, and never a consistency violation."""
+    rng = random.Random(4242)
+    counts = Counter()
+    for k in range(300):
+        values = {}
+        for name in COEFF_NAMES:
+            if rng.random() < 0.45 or (k % 2 and name in ("b0", "beta2")):
+                values[name] = GaussianRational(0)
+            else:
+                values[name] = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        q = quartic_from_table(X3SQ, CoefficientTable(**values))
+        outcomes = []
+        for route in (classify, brute_force_classify):
+            try:
+                outcomes.append(route(q)[0].label())
+            except QuarticVPError as exc:
+                outcomes.append(type(exc).__name__)
+        assert outcomes[0] == outcomes[1], values
+        counts[outcomes[0]] += 1
+    assert {"D4", "D5", "D6", "E6", "E7"} <= counts.keys(), counts
 
 
 # -- metamorphic: the type does not depend on the coordinates ----------------
