@@ -6,11 +6,13 @@ repair them constraint by constraint.
 * A-family strata impose the criteria-chain equalities in resolution order;
   each one is affine in some still-free coefficient, so a two-point probe
   solves it exactly.
-* D/E strata fix the root structure of p1 directly (double or triple root
-  at a chosen point) and then walk the refinement ladder, repairing the
-  first unmet defect (rank drop of a tangent cone, or prescribed root
-  multiplicities one level down) the same way; a three-point quadratic
-  probe backs up the affine one where a coefficient enters twice.
+* D/E strata fix the root structure of p1 directly: a double root (D) or
+  triple root (E) at x2 = 0, so b0 = beta2 = 0, which is the frame in which
+  their colored weights are read.  They then walk the refinement ladder,
+  repairing the first unmet defect (rank drop of a tangent cone, a node
+  that does not split over Q(i), or prescribed root multiplicities one
+  level down) the same way; a three-point quadratic probe backs up the
+  affine one where a coefficient enters twice.
 
 Every candidate is validated by running the real classifier; terminating
 inequalities and genericity are enforced by rejection within a retry cap.
@@ -29,7 +31,7 @@ from itertools import islice
 from .blowup import mirror_chart, point_chart
 from .errors import GenerationError, QuarticVPError
 from .field import GaussianRational, ONE, ZERO, sqrt_if_exists
-from .poly import Polynomial, substitute, weighted_order
+from .poly import Polynomial, weighted_order
 from .quartic import (
     COEFF_NAMES,
     CoefficientTable,
@@ -44,7 +46,6 @@ from .quartic import (
 )
 from .singclass import (
     TypeTag,
-    a_chain_walk,
     a_criteria,
     classify,
     cone_slots,
@@ -53,7 +54,6 @@ from .singclass import (
 from .vpanalyzer import analyze_weight, distinct_assignments, vp_conditions
 
 MAX_RETRIES = 64
-_X2 = Polynomial.variable(2)
 
 # colored (non-generic) weights of each classification row, per the result
 # tables; generic witnesses must avoid each of them
@@ -307,32 +307,14 @@ def _build_a1(rng: random.Random):
 # -- D/E construction -----------------------------------------------------------
 
 
-def _a_terminal_defect(germ, req, stage):
-    """Defects of a terminal A3 or A5 germ inside the walk."""
-    blowups = 1 if req == "A3" else 2
-    for count, (grad, gap) in enumerate(a_chain_walk(germ), 1):
-        if grad:
-            return (f"a-grad{count}", stage), grad
-        if count == blowups:
-            if not gap:
-                raise GenerationError(f"overshot the {req} terminal")
-            return None
-        if gap:
-            return ("a-det", stage), gap
-
-
 # ordinal of each defect kind within one stage, so probes can tell "the
 # targeted defect is gone, a later one surfaced" from "an earlier one broke"
 _DEFECT_RANK = {
-    "pre-a": 0,
-    "pre-c": 1,
-    "rank1": 1,
-    "flat": 2,
-    "root": 3,
-    "double": 4,
-    "a-grad1": 5,
-    "a-det": 6,
-    "a-grad2": 7,
+    "split": 0,
+    "rank1": 0,
+    "flat": 1,
+    "root": 2,
+    "double": 3,
 }
 
 
@@ -341,28 +323,30 @@ def _defect_key(tag) -> tuple:
     return (stage, _DEFECT_RANK[kind], extra[0] if extra else 0)
 
 
-def _walk_objective(chain, t0: GaussianRational):
-    """First unmet defect along the refinement ladder, or None when met."""
+def _walk_objective(chain):
+    """First unmet defect along the refinement ladder, or None when met.
+
+    The walk starts at the multiple root of p1, pinned at x2 = 0, and each
+    later stage at a singular point of the last exceptional line.  That line
+    lies on the strict transform, so every germ has no pure x2^k term and a
+    zero x1*x2 slot: its tangent cone is x3^2 + b*x1*x3 + c*x1^2, and when
+    the cone has rank 2 its vertex line, the x2-axis, lies on the germ, which
+    is then A3 or deeper.  So an A terminal only asks that the cone split
+    over Q(i), and the classifier checks the index.
+    """
 
     def objective(q: NormalizedQuartic):
-        h1 = point_chart(q.affine_equation())
-        if t0.is_zero():
-            germ = h1
-        else:
-            germ = substitute(h1, {2: _X2 + Polynomial.constant(t0)})
+        germ = point_chart(q.affine_equation())
         for stage, req in enumerate(chain):
-            a, b, c = cone_slots(germ)
-            if req in ("A3", "A5"):
-                if not a.is_zero():
-                    return ("pre-a", stage), a
-                if not c.is_zero():
-                    return ("pre-c", stage), c
-                if b.is_zero():
-                    raise GenerationError("rank collapsed at an A terminal")
-                return _a_terminal_defect(germ, req, stage)
-            if not a.is_zero():
-                return ("pre-a", stage), a
+            _, b, c = cone_slots(germ)
             gap = b * b - c * 4
+            if req in ("A3", "A5"):
+                if gap and sqrt_if_exists(gap) is not None:
+                    return None
+                if not c.is_zero():
+                    # with c = 0 the cone is x3*(x3 + b*x1)
+                    return ("split", stage), c
+                raise GenerationError("rank collapsed at an A terminal")
             if not gap.is_zero():
                 return ("rank1", stage), gap
             germ, _ = normalize_cone(germ)
@@ -377,10 +361,6 @@ def _walk_objective(chain, t0: GaussianRational):
                 for k in range(floor, len(p)):
                     if not p[k].is_zero():
                         return ("flat", stage, k), p[k]
-                if req == "midI" and (len(p) < 2 or p[1].is_zero()):
-                    raise GenerationError("no simple branch left at infinity")
-                if req == "midE" and p[0].is_zero():
-                    raise GenerationError("slice vanished while flattening")
                 germ = mirror_chart(germ)
                 continue
             # req == "mid": double root at t = 0
@@ -388,8 +368,6 @@ def _walk_objective(chain, t0: GaussianRational):
                 return ("root", stage), p[0]
             if len(p) > 1 and not p[1].is_zero():
                 return ("double", stage), p[1]
-            if len(p) <= 2 or p[2].is_zero():
-                raise GenerationError("prescribed double root degenerated")
             germ = h
         return None
 
@@ -433,49 +411,35 @@ def _build_de(target: TypeTag, frozen, rng: random.Random):
             builder.set("sigma0", _draw_nonzero(rng))
         return builder.quartic()
 
+    # pin the multiple root of p1 = x2^2*(rho2*x1 + sigma0*x2) at x2 = 0, a
+    # triple root for E (rho2 = 0): the flag frame in which the colored
+    # weights (1, a, b) are read
+    for name in ("b0", "beta2"):
+        if free(name):
+            builder.set(name, ZERO)
+    if free("rho2"):
+        builder.set("rho2", ZERO if family == "E" else _draw_nonzero(rng))
+    if free("sigma0"):
+        builder.set("sigma0", _draw_nonzero(rng))
     chain = _DE_CHAINS[(family, index)]
-    deep = any(req.startswith("mid") for req in chain)
-    constrained = not all(free(n) for n in ("b0", "beta2"))
-    if constrained or deep:
-        # pin the multiple root of p1 at t = 0; deep strata additionally
-        # keep the descent slots sparse, which makes the defect system
-        # triangular in the remaining coefficients
-        t0 = ZERO
-        for name in ("b0", "beta2"):
-            if free(name):
-                builder.set(name, ZERO)
-        if family == "E" and free("rho2"):
-            builder.set("rho2", ZERO)
-        if family == "D" and free("rho2"):
-            builder.set("rho2", _draw_nonzero(rng))
-        if free("sigma0"):
-            builder.set("sigma0", _draw_nonzero(rng))
-        if deep and free("beta3"):
-            # nonzero beta3 keeps c0 = beta3^2/4 nonzero, so the witness
-            # stays off every colored stratum
+    if len(chain) > 1:
+        # in a deep stratum the first germ has rank 1, c0 = beta3^2/4; nonzero
+        # beta3 keeps c0 nonzero, so the witness stays off every colored stratum
+        if free("beta3"):
             builder.set("beta3", _draw_nonzero(rng), freeze=False)
-    elif family == "D":
-        t0 = _draw_nonzero(rng)
-        t1 = _draw_nonzero(rng)
-        if t1 == t0:
-            t1 = t0 + ONE
-        sigma0 = _draw_nonzero(rng)
-        builder.set("sigma0", sigma0)
-        builder.set("rho2", -sigma0 * (t0 * 2 + t1))
-        builder.set("beta2", sigma0 * (t0 * t0 + t0 * t1 * 2))
-        builder.set("b0", -sigma0 * t0 * t0 * t1)
-    else:
-        t0 = _draw_nonzero(rng)
-        sigma0 = _draw_nonzero(rng)
-        builder.set("sigma0", sigma0)
-        builder.set("rho2", -sigma0 * 3 * t0)
-        builder.set("beta2", sigma0 * 3 * t0 * t0)
-        builder.set("b0", -sigma0 * t0**3)
-
-    if (family, index) == ("E", 7) and constrained:
+    elif chain != ("D4",) and free("c0"):
+        # a generic D5 or E6 gets its split node directly: the cone
+        # x3^2 + beta3*x1*x3 + c0*x1^2 of the first germ has discriminant
+        # s^2, and c0 != 0 keeps the witness off every colored stratum
+        beta3 = builder.values["beta3"]
+        s = _draw_nonzero(rng)
+        while s in (beta3, -beta3):
+            s = _draw_nonzero(rng)
+        builder.set("c0", (beta3 * beta3 - s * s) / 4)
+    if (family, index) == ("E", 7) and frozen:
         # the specialized stratum hosts its D6 point at infinity
         chain = ("midI", "D4")
-    objective = _walk_objective(chain, t0)
+    objective = _walk_objective(chain)
 
     for _ in range(24):
         try:

@@ -28,6 +28,7 @@ from .errors import ClassificationError, ConsistencyViolation, GeometryError, No
 from .field import ZERO
 from .poly import (
     Polynomial,
+    order_along,
     squarefree_excess,
     substitute,
     unique_multiple_root,
@@ -309,6 +310,8 @@ def _a_chain(g: Polynomial, cert: Certificate):
 def _de_chain(g: Polynomial, cert: Certificate, depth: int):
     """Blowup of a rank-1 germ: coarse split plus recursive refinement."""
     g, _ = normalize_cone(g)
+    if order_along(g, (2, 3)) >= 2:
+        raise NonNormalInput("the surface is singular along the x1-axis of a germ")
     h1 = point_chart(g)
     hw2 = mirror_chart(g)
     p = line_slice(h1)

@@ -48,6 +48,30 @@ def test_check_command(capsys):
     assert out.splitlines()[0] == "weights (1, 1, 2): volume preserving"
 
 
+def test_vp_links_only_json(capsys):
+    code, out, _ = run(capsys, "vp", A19, "--links-only", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["type"] == {"family": "A", "index": 8, "exact": False}
+    assert [v["weights"] for v in data["verdicts"]] == [[1, 1, 1], [1, 1, 2]]
+    assert all(v["vp"] and v["initiates_link"] for v in data["verdicts"])
+
+
+def test_check_json_includes_the_traces(capsys):
+    code, out, _ = run(capsys, "check", A19, "--json", "--weights", "1,2,3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["weights"] == [1, 2, 3] and data["vp"] is False
+    # one stepwise trace per assignment, ending on the assignment's own ray
+    assert len(data["traces"]) == len(data["assignments"]) == 6
+    for result, trace in zip(data["assignments"], data["traces"]):
+        assert trace["weights"] == [1, 2, 3]
+        assert trace["assignment"] == result["assignment"]
+        assert trace["steps"][0]["ray"] == [1, 1, 1]
+        assert trace["steps"][-1]["ray"] == sorted(result["assignment"])
+        assert trace["overall_vp"] == result["stepwise_vp"]
+
+
 @pytest.mark.parametrize(
     "argv,verdict",
     [
@@ -222,6 +246,27 @@ def test_generate_command_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", str(quartic))
     assert code == 0
     assert "D5" in out
+
+
+def test_generate_corpus(capsys, monkeypatch, witness_corpus):
+    from quarticvp import generator
+
+    monkeypatch.setattr(generator, "corpus", lambda seed: witness_corpus)
+    code, out, _ = run(capsys, "generate", "--corpus")
+    assert code == 0
+    realized = [(spec, q) for spec, q in witness_corpus if q is not None]
+    assert len(realized) < len(witness_corpus)
+    lines = [json.loads(line) for line in out.splitlines()]
+    # one line per realized spec, in catalogue order; refused specs are left out
+    assert [(d["target"], d["mode"], d["seed"]) for d in lines] == [
+        (
+            spec.target.to_json(),
+            "generic" if spec.mode == "generic" else list(spec.mode),
+            spec.seed,
+        )
+        for spec, _ in realized
+    ]
+    assert [d["quartic"] for d in lines] == [q.to_json() for _, q in realized]
 
 
 def test_generate_specialized(capsys, tmp_path):

@@ -13,7 +13,8 @@ from quarticvp.generator import (
     _Builder,
     satisfies_conditions,
 )
-from quarticvp.quartic import SLOTS, X2X3, X3SQ, coefficients
+from quarticvp.poly import Polynomial, substitute, unique_multiple_root
+from quarticvp.quartic import SLOTS, X2X3, X3SQ, coefficients, normalize_at_point
 from quarticvp.singclass import TypeTag, classify
 from quarticvp.tables import claimed_vp_table
 from quarticvp.vpanalyzer import analyze_weight, enumerate_vp, vp_conditions, vp_set
@@ -94,6 +95,35 @@ def test_generic_de_witness_avoids_the_swapped_colored_weights(seed, frozen, tar
     verdict = analyze_weight(q, a, b)
     assert [r.assignment for r in verdict.results if r.discrepancy == 0] == [(a, 1, b)]
     assert not _avoids_colored(q, target)
+
+
+def _on_the_multiple_root(q):
+    """``q`` after x2 -> x2 + t0*x1, which moves the multiple root t0 of
+    p1(1, t) = b0 + beta2*t + rho2*t^2 + sigma0*t^3 to x2 = 0."""
+    t = coefficients(q)
+    t0 = unique_multiple_root([t.b0, t.beta2, t.rho2, t.sigma0])
+    x1, x2 = Polynomial.variable(1), Polynomial.variable(2)
+    return normalize_at_point(substitute(q.full_equation(), {2: x2 + x1.scale(t0)}), (1, 0, 0, 0))
+
+
+def test_de_witnesses_are_built_in_the_flag_frame(witness_corpus):
+    # the multiple root of p1 sits at x2 = 0, where the colored weights
+    # (1, a, b) are read: a generic D5 or E6 witness that is vp at (1,2,3)
+    # there would only pass its row through the choice of frame
+    de = [(spec, q) for spec, q in witness_corpus if q is not None and q.A == X3SQ]
+    assert {spec.target.label() for spec, _ in de} >= {"D5", "D6", "D10", "E6", "E8"}
+    for spec, q in de:
+        table = coefficients(q)
+        if spec.target != TypeTag("D", 4):
+            assert table.b0.is_zero() and table.beta2.is_zero(), spec.label()
+    shallow = [
+        (spec, q)
+        for spec, q in de
+        if spec.mode == "generic" and spec.target.label() in ("D5", "D6", "E6")
+    ]
+    assert len(shallow) == 24
+    for spec, q in shallow:
+        assert not analyze_weight(_on_the_multiple_root(q), 2, 3).vp, spec.label()
 
 
 def test_vp_conditions_of_the_colored_weights():

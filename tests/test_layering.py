@@ -9,6 +9,8 @@
   stage, so the criteria ladder has one definition.
 * Only ``quartic`` factors a tangent cone (``normalize_cone``), and only
   ``blowup`` steps through a toric chain (``toric_walk``).
+* Only ``singclass`` imports ``a_chain_walk``: the generator leaves every
+  A terminal to the classifier instead of walking the chain itself.
 * Only ``singclass`` reads a germ's cone slots (``cone_slots``), and
   ``quartic`` states the exponents of the named coefficients in one dict
   (``SLOTS``), so each coefficient layout has one definition.
@@ -114,6 +116,18 @@ def test_normalizer_and_toric_walk_have_one_home(path):
     foreign = set().union(*(names for owner, names in OWNED.items() if owner != path.name))
     calls = _calls(path, foreign)
     assert not calls, f"{path.name} calls {calls}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_singclass_imports_the_a_chain_walk(path):
+    if path.name == "singclass.py":
+        return
+    imports = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "a_chain_walk" for a in node.names)
+    ]
+    assert not imports, f"{path.name} imports a_chain_walk at lines {imports}"
 
 
 def _int_tuple(node):

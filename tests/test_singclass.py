@@ -364,7 +364,8 @@ def test_invariants_vs_blowups_on_raw_random_rank1_tables():
     """The D/E twin of the A test above: on raw zero-biased x3^2 tables,
     half of them with b0 = beta2 = 0 so that p1 has a multiple root, the
     classifier (invariants confirmed by the chain) and the bare chain give
-    the same type or the same refusal, and never a consistency violation."""
+    the same type or the same refusal, and never a consistency violation.
+    No table reaches the D>=11 catch-all."""
     rng = random.Random(4242)
     counts = Counter()
     for k in range(300):
@@ -384,6 +385,9 @@ def test_invariants_vs_blowups_on_raw_random_rank1_tables():
         assert outcomes[0] == outcomes[1], values
         counts[outcomes[0]] += 1
     assert {"D4", "D5", "D6", "E6", "E7"} <= counts.keys(), counts
+    # a germ singular along its x1-axis is a non-isolated point, refused
+    # as NonNormalInput instead of running into the D>=11 depth cap
+    assert "D>=11" not in counts, counts
 
 
 # -- metamorphic: the type does not depend on the coordinates ----------------

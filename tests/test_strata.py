@@ -73,6 +73,6 @@ def test_145_stratum_is_always_non_normal():
             seen[tag.label()] += 1
         except QuarticVPError as exc:
             seen[type(exc).__name__] += 1
-    # the descent either aborts (non-normal) or never terminates in an
-    # exact type; no Du Val index is ever certified on this stratum
-    assert set(seen) <= {"NonNormalInput", "D>=11"}, seen
+    # the rank-1 descent sees the singular line in its first germ and
+    # refuses; no Du Val index, and no D>=11 catch-all, is ever certified
+    assert set(seen) == {"NonNormalInput"}, seen
