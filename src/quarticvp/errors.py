@@ -37,8 +37,9 @@ class ReducibleInput(GeometryError):
 
 
 class NonNormalInput(GeometryError):
-    """The strict transform is singular along a whole curve, which cannot
-    happen for a normal surface."""
+    """The strict transform is singular along a whole curve: the surface is
+    not normal, or the point is not a Du Val point (a simple elliptic point
+    such as x3^2 + x1^4 + x2^4 blows up to a curve of singular points)."""
 
 
 class FieldExtensionRequired(QuarticVPError):

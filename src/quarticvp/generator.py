@@ -87,6 +87,7 @@ GENERATOR_TARGETS = tuple(
 #   midI  -- D>4 layer, double root at infinity (mirror chart descent)
 #   midE  -- E layer, triple root at infinity
 #   D4 / A3 / A5 -- terminal germ requirements
+# a mid rung is met when the line-slice coefficients it lists in _RUNGS vanish
 _DE_CHAINS = {
     ("D", 5): ("A3",),
     ("D", 6): ("D4",),
@@ -307,24 +308,19 @@ def _build_a1(rng: random.Random):
 # -- D/E construction -----------------------------------------------------------
 
 
-# ordinal of each defect kind within one stage, so probes can tell "the
-# targeted defect is gone, a later one surfaced" from "an earlier one broke"
-_DEFECT_RANK = {
-    "split": 0,
-    "rank1": 0,
-    "flat": 1,
-    "root": 2,
-    "double": 3,
-}
-
-
-def _defect_key(tag) -> tuple:
-    kind, stage, *extra = tag
-    return (stage, _DEFECT_RANK[kind], extra[0] if extra else 0)
+# the coefficients of the line slice p that each mid rung zeroes, in order:
+# a double root at t = 0 (mid), a double root at infinity (midI) or a triple
+# root at infinity (midE)
+_RUNGS = {"mid": (0, 1), "midI": (2, 3), "midE": (1, 2, 3)}
 
 
 def _walk_objective(chain):
     """First unmet defect along the refinement ladder, or None when met.
+
+    A defect is (key, value).  Keys order the defects along the walk, so a
+    probe can tell "the targeted defect is gone, a later one surfaced" from
+    "an earlier one broke": (stage, 0) for the tangent cone of a stage's
+    germ, (stage, k + 1) for coefficient k of that stage's line slice.
 
     The walk starts at the multiple root of p1, pinned at x2 = 0, and each
     later stage at a singular point of the last exceptional line.  That line
@@ -345,10 +341,10 @@ def _walk_objective(chain):
                     return None
                 if not c.is_zero():
                     # with c = 0 the cone is x3*(x3 + b*x1)
-                    return ("split", stage), c
+                    return (stage, 0), c
                 raise GenerationError("rank collapsed at an A terminal")
             if not gap.is_zero():
-                return ("rank1", stage), gap
+                return (stage, 0), gap
             germ, _ = normalize_cone(germ)
             h = point_chart(germ)
             p = line_slice(h)
@@ -356,19 +352,10 @@ def _walk_objective(chain):
                 raise GenerationError("exceptional line went fully singular")
             if req == "D4":
                 return None
-            if req in ("midE", "midI"):
-                floor = 1 if req == "midE" else 2
-                for k in range(floor, len(p)):
-                    if not p[k].is_zero():
-                        return ("flat", stage, k), p[k]
-                germ = mirror_chart(germ)
-                continue
-            # req == "mid": double root at t = 0
-            if not p[0].is_zero():
-                return ("root", stage), p[0]
-            if len(p) > 1 and not p[1].is_zero():
-                return ("double", stage), p[1]
-            germ = h
+            for k in _RUNGS[req]:
+                if k < len(p) and not p[k].is_zero():
+                    return (stage, k + 1), p[k]
+            germ = h if req == "mid" else mirror_chart(germ)
         return None
 
     return objective
@@ -448,17 +435,14 @@ def _build_de(target: TypeTag, frozen, rng: random.Random):
             break
         if defect is None:
             break
-        want = _defect_key(defect[0])
+        want = defect[0]
 
         def scalar_objective(q, want=want):
             got = objective(q)
-            if got is None:
+            if got is None or got[0] > want:
+                # the targeted defect is satisfied; a later one may remain
                 return None
-            key = _defect_key(got[0])
-            if key > want:
-                # the targeted defect is satisfied; a later one remains
-                return None
-            if key < want:
+            if got[0] < want:
                 raise GenerationError("an earlier constraint broke")
             return got[1]
 
@@ -495,11 +479,7 @@ def generate(spec: GenSpec) -> NormalizedQuartic:
             if q is None:
                 continue
             tag, _ = classify(q)
-            if (tag.family, tag.index, tag.exact) != (
-                spec.target.family,
-                spec.target.index,
-                spec.target.exact,
-            ):
+            if tag != spec.target:
                 continue
             if spec.mode == "generic":
                 if not _avoids_colored(q, spec.target):

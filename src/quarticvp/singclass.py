@@ -313,23 +313,17 @@ def _de_chain(g: Polynomial, cert: Certificate, depth: int):
     if order_along(g, (2, 3)) >= 2:
         raise NonNormalInput("the surface is singular along the x1-axis of a germ")
     h1 = point_chart(g)
-    hw2 = mirror_chart(g)
     p = line_slice(h1)
-    pm = line_slice(hw2)
-    if not p or not pm:
+    if not p:
         raise NonNormalInput(
             "the blown-up surface is singular along the exceptional line"
         )
-    mult_inf = 0
-    while mult_inf < len(pm) and pm[mult_inf].is_zero():
-        mult_inf += 1
+    # p is the binary cubic of the singular points on the exceptional line,
+    # read in the first chart; the mirror chart holds it reversed, so 3 - deg p
+    # roots lie at infinity, and it is built only to descend to one of them
     degree = len(p) - 1
-    if degree + mult_inf != 3:
-        raise ClassificationError(
-            "exceptional line meets the surface with unexpected multiplicity"
-        )
+    mult_inf = 3 - degree
     excess = squarefree_excess(p)
-    finite_max = 1 + excess  # largest finite root multiplicity for cubic data
 
     if mult_inf <= 1 and excess == 0:
         cert.add("line singularities", f"d={degree}, simple roots", "D4")
@@ -339,15 +333,15 @@ def _de_chain(g: Polynomial, cert: Certificate, depth: int):
         cert.add("refine", "depth cap", "D>=11")
         return TypeTag("D", 11, exact=False)
 
+    # a nonzero cubic has at most one multiple root, so a finite one is found
+    # by unique_multiple_root; a triple root makes E
     if mult_inf >= 2:
         distinguished = "infinity"
         coarse = "E" if mult_inf == 3 else "D>4"
-        germ = hw2
+        germ = mirror_chart(g)
     else:
-        coarse = "E" if finite_max == 3 else "D>4"
+        coarse = "E" if excess == 2 else "D>4"
         t0 = unique_multiple_root(p)
-        if t0 is None:
-            raise ClassificationError("multiple root extraction failed")
         distinguished = str(t0)
         germ = substitute(h1, {2: _X2 + Polynomial.constant(t0)})
     cert.add("line singularities", f"d={degree}, multiple at {distinguished}", coarse)
@@ -364,16 +358,15 @@ def _de_chain(g: Polynomial, cert: Certificate, depth: int):
             tag = TypeTag("D", 11, exact=False)
         else:
             tag = TypeTag("D", index)
-        cert.add("refine", f"{tag.label()} <- {sub.label()}", "one-blowup lift")
-        return tag
-    # coarse E: only the three Du Val configurations are possible
-    lifts = {("A", 5): 6, ("D", 6): 7, ("E", 7): 8}
-    key = (sub.family, sub.index)
-    if not sub.exact or key not in lifts:
-        raise ClassificationError(
-            f"an E-type point cannot sit over {sub.label()}; input is not canonical"
-        )
-    tag = TypeTag("E", lifts[key])
+    else:
+        # coarse E: only the three Du Val configurations are possible
+        lifts = {("A", 5): 6, ("D", 6): 7, ("E", 7): 8}
+        key = (sub.family, sub.index)
+        if not sub.exact or key not in lifts:
+            raise ClassificationError(
+                f"an E-type point cannot sit over {sub.label()}; input is not canonical"
+            )
+        tag = TypeTag("E", lifts[key])
     cert.add("refine", f"{tag.label()} <- {sub.label()}", "one-blowup lift")
     return tag
 
@@ -419,7 +412,7 @@ def de_coarse(t: CoefficientTable, cert: Certificate) -> str:
     """
     a, b, c, d = t.sigma0, t.rho2, t.beta2, t.b0
     if not (a or b or c or d):
-        raise NonNormalInput("p1 vanishes identically, contradicting normality of the surface")
+        raise NonNormalInput("p1 vanishes identically: not normal, or not a Du Val point")
     bc, ad = b * c, a * d
     disc = bc * bc - a * c * c * c * 4 - b * b * b * d * 4 - ad * ad * 27 + bc * ad * 18
     if disc:

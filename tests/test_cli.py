@@ -123,6 +123,18 @@ def test_geometry_error_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_simple_elliptic_point_is_refused_without_blaming_normality(capsys, tmp_path):
+    # both singular points, (1:0:0:0) and (0:0:0:1), are isolated, so the
+    # surface is normal; p1 vanishes because the point is simple elliptic
+    elliptic = tmp_path / "elliptic.txt"
+    elliptic.write_text("x0^2*x3^2 + x1^4 + x2^4")
+    code, _, err = run(capsys, "classify", str(elliptic))
+    assert code == 3
+    assert err.startswith("error: p1 vanishes identically")
+    assert "not normal, or not a Du Val point" in err
+    assert "contradicting normality" not in err
+
+
 @pytest.mark.parametrize(
     "argv", [("classify",), ("vp",), ("check", "--weights", "1,1,2")], ids=lambda a: a[0]
 )

@@ -4,6 +4,7 @@ import pytest
 
 from quarticvp import generator
 from quarticvp.errors import ClassificationError, ConsistencyViolation, GenerationError
+from quarticvp.field import GaussianRational, ZERO
 from quarticvp.generator import (
     COLORED_WEIGHTS,
     GENERATOR_TARGETS,
@@ -11,10 +12,20 @@ from quarticvp.generator import (
     generate,
     _avoids_colored,
     _Builder,
+    _walk_objective,
     satisfies_conditions,
 )
 from quarticvp.poly import Polynomial, substitute, unique_multiple_root
-from quarticvp.quartic import SLOTS, X2X3, X3SQ, coefficients, normalize_at_point
+from quarticvp.quartic import (
+    COEFF_NAMES,
+    SLOTS,
+    X2X3,
+    X3SQ,
+    CoefficientTable,
+    coefficients,
+    normalize_at_point,
+    quartic_from_table,
+)
 from quarticvp.singclass import TypeTag, classify
 from quarticvp.tables import claimed_vp_table
 from quarticvp.vpanalyzer import analyze_weight, enumerate_vp, vp_conditions, vp_set
@@ -124,6 +135,31 @@ def test_de_witnesses_are_built_in_the_flag_frame(witness_corpus):
     assert len(shallow) == 24
     for spec, q in shallow:
         assert not analyze_weight(_on_the_multiple_root(q), 2, 3).vp, spec.label()
+
+
+def _d7_quartic(**changes):
+    """A D7 quartic in the flag frame whose walk ("mid", "A3") is met, with
+    ``changes`` applied to its named coefficients."""
+    values = dict.fromkeys(COEFF_NAMES, ZERO)
+    for name in ("sigma0", "rho2", "rho3", "delta3", "c0"):
+        values[name] = GaussianRational.of(1)
+    values["beta3"] = GaussianRational.of(2)
+    values.update({name: GaussianRational.of(v) for name, v in changes.items()})
+    return quartic_from_table(X3SQ, CoefficientTable(**values))
+
+
+@pytest.mark.parametrize(
+    "changes,key",
+    [({"c0": 0}, (0, 0)), ({"delta3": 0}, (0, 1)), ({"delta2": 1}, (0, 2)), ({}, None)],
+    ids=["cone", "root", "double-root", "met"],
+)
+def test_walk_objective_keys_the_first_unmet_coefficient(changes, key):
+    # stage 0 is the mid rung: its cone must have rank 1 (key (0, 0)), then
+    # coefficients 0 and 1 of its line slice must vanish (keys (0, 1), (0, 2))
+    defect = _walk_objective(("mid", "A3"))(_d7_quartic(**changes))
+    assert (defect[0] if defect else None) == key
+    if not changes:
+        assert classify(_d7_quartic())[0] == TypeTag("D", 7)
 
 
 def test_vp_conditions_of_the_colored_weights():

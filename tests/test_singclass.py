@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 
 from quarticvp import fixtures
 from quarticvp.errors import ClassificationError, NonNormalInput, QuarticVPError
-from quarticvp.field import GaussianRational, ZERO
-from quarticvp.poly import linear_change, parse
+from quarticvp.blowup import mirror_chart, point_chart
+from quarticvp.field import GaussianRational, ONE, ZERO
+from quarticvp.poly import (
+    Polynomial,
+    linear_change,
+    parse,
+    squarefree_excess,
+    unique_multiple_root,
+)
 from quarticvp.quartic import (
     COEFF_NAMES,
     CoefficientTable,
@@ -17,6 +24,7 @@ from quarticvp.quartic import (
     X3SQ,
     coefficients,
     normalize_at_point,
+    normalize_cone,
     quartic_from_table,
 )
 from quarticvp.singclass import (
@@ -27,6 +35,7 @@ from quarticvp.singclass import (
     classify,
     classify_local,
     de_coarse,
+    line_slice,
 )
 
 P0 = (1, 0, 0, 0)
@@ -358,6 +367,55 @@ def test_de_coarse_discriminant_is_sympys():
         re, im = (Fraction(int(x.p), int(x.q)) for x in (sympy.re(delta), sympy.im(delta)))
         assert cert.entries[0].name == "disc(p1)"
         assert cert.entries[0].value == str(GaussianRational(re, im)), table
+
+
+def _planted_rank1_germs(rng, count):
+    """Random rank-1 germs brought to x3^2 by ``normalize_cone``, with the
+    cubic p(t) = B(1, t, 0) replaced by a product of factors u + v*t: a root
+    at t = 0 when u = 0 and at infinity when v = 0, planted as double and
+    triple roots; every sixth cubic is zero.  Yields the germ and its
+    multiple root (None when there is none)."""
+    x1, x2, x3 = (Polynomial.variable(i) for i in (1, 2, 3))
+    higher = [(0, i, j, d - i - j) for d in (3, 4) for i in range(d + 1) for j in range(d + 1 - i)]
+    for k in range(count):
+        line = x1.scale(_small(rng)) + x2.scale(_small(rng)) + x3.scale(_small(rng) or ONE)
+        terms = {m: _small(rng, 0.8) for m in higher}
+        g, _ = normalize_cone((line * line).scale(_small(rng) or ONE) + Polynomial(terms))
+        p, roots = [ZERO], []
+        if k % 6:
+            p = [ONE]
+            for m in ((1, 1, 1), (2, 1), (3,))[k % 3]:
+                u, v = rng.choice([(ZERO, ONE), (ONE, ZERO), (_small(rng), _small(rng) or ONE)])
+                roots += ["infinity" if v.is_zero() else -u / v] * m
+                for _ in range(m):
+                    p = [a * u + b * v for a, b in zip(p + [ZERO], [ZERO] + p)]
+        multiple = next((r for r in roots if roots.count(r) > 1), None)
+        terms = {m: c for m, c in g.terms.items() if not (m[3] == 0 and m[1] + m[2] == 3)}
+        terms.update({(0, 3 - e, e, 0): c for e, c in enumerate(p)})
+        yield Polynomial(terms), multiple
+
+
+def test_the_mirror_chart_slice_is_the_point_chart_slice_reversed():
+    """Both charts of the blowup slice the exceptional line in one binary
+    cubic, so ``_de_chain`` reads it once: the mirror slice has 3 - deg p
+    leading zeros (the roots at infinity) and is empty exactly when p is,
+    and a multiple root that is not at infinity is ``unique_multiple_root(p)``."""
+    rng = random.Random(1919)
+    seen = Counter()
+    for g, multiple in _planted_rank1_germs(rng, 180):
+        p = line_slice(point_chart(g))
+        mirror = line_slice(mirror_chart(g))
+        assert (not p) == (not mirror)
+        if not p:
+            seen["empty"] += 1
+            continue
+        at_infinity = 3 - (len(p) - 1)
+        assert all(c.is_zero() for c in mirror[:at_infinity]) and mirror[at_infinity], g
+        seen[at_infinity] += 1
+        if squarefree_excess(p) and at_infinity <= 1:
+            assert unique_multiple_root(p) == multiple, g
+            seen["finite multiple"] += 1
+    assert {0, 1, 2, 3, "empty", "finite multiple"} <= seen.keys(), seen
 
 
 def test_invariants_vs_blowups_on_raw_random_rank1_tables():
