@@ -29,7 +29,6 @@ from .poly import (
     order_along,
     permute_variables,
     substitute,
-    var_power_content,
 )
 from .quartic import NormalizedQuartic
 
@@ -86,20 +85,20 @@ class VpTrace:
 def point_chart(g: Polynomial) -> Polynomial:
     """First chart of the blowup at the origin, exceptional power removed."""
     total = substitute(g, _POINT_IMAGES)
-    return divide_var_power(total, 1, var_power_content(total, 1))
+    return divide_var_power(total, 1, order_along(total, (1,)))
 
 
 def mirror_chart(g: Polynomial) -> Polynomial:
     """Second chart, relabeled so the exceptional divisor is again {x1=0}."""
     total = substitute(g, _MIRROR_IMAGES)
-    stripped = divide_var_power(total, 2, var_power_content(total, 2))
+    stripped = divide_var_power(total, 2, order_along(total, (2,)))
     return permute_variables(stripped, (0, 2, 1, 3))
 
 
 def line_chart(g: Polynomial) -> Polynomial:
     """Chart of the blowup of {x1 = x3 = 0}, exceptional power removed."""
     total = substitute(g, _LINE_IMAGES)
-    return divide_var_power(total, 1, var_power_content(total, 1))
+    return divide_var_power(total, 1, order_along(total, (1,)))
 
 
 def step_transform(f: Polynomial, kind: str) -> Polynomial:
@@ -126,7 +125,7 @@ def step_vp(f: Polynomial, kind: str) -> StepRecord:
     are flagged, never silently accepted.
     """
     if kind == POINT:
-        order = f.min_degree()
+        order = order_along(f, (0, 1, 2, 3))
         expected = 2
     elif kind == CURVE:
         order = order_along(f, (1, 3))

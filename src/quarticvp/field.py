@@ -9,6 +9,7 @@ components canonical), so equality is componentwise and hashable.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -137,28 +138,39 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+# str(int) and int(str) stop at 4300 digits; decimal converts exactly at
+# any length, so it takes over past 4000 (a digit holds over 3 bits)
+_PLAIN_DIGITS = 4000
+
+
+def digits(n: int) -> str:
+    """Decimal text of an integer of any length."""
+    return str(n) if n.bit_length() <= 3 * _PLAIN_DIGITS else str(Decimal(n))
+
+
+def from_digits(text: str) -> int:
+    """The integer a run of decimal digits spells, at any length."""
+    return int(text) if len(text) <= _PLAIN_DIGITS else int(Decimal(text))
+
+
 def _format_rat(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = digits(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{digits(q.denominator)}"
 
 
 def format_coeff(a: GaussianRational) -> str:
     """Render in the grammar forms ``int``, ``int/nat``, ``a*i``, ``a + b*i``.
 
-    Mixed values are not parenthesized here; the polynomial formatter adds
-    parentheses where the grammar requires them.
+    The sign of the imaginary part joins a mixed value's parts.  Mixed
+    values are not parenthesized here; the polynomial formatter adds them.
     """
     if not a.im:
         return _format_rat(a.re)
-    if a.im == 1:
-        im = "i"
-    elif a.im == -1:
-        im = "-i"
-    else:
-        im = f"{_format_rat(a.im)}*i"
+    im = "i" if abs(a.im) == 1 else f"{_format_rat(abs(a.im))}*i"
+    sign = "-" if a.im < 0 else ""
     if not a.re:
-        return im
-    sep = "-" if im.startswith("-") else "+"
-    return f"{_format_rat(a.re)} {sep} {im.lstrip('-')}"
+        return sign + im
+    return f"{_format_rat(a.re)} {sign or '+'} {im}"
 
 
 def _rational_sqrt(q: Fraction):

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
 from .errors import PolyParseError
-from .field import GaussianRational, I, ONE, ZERO, format_coeff
+from .field import GaussianRational, I, ONE, ZERO, digits, format_coeff, from_digits
 
 NVARS = 4
 VAR_NAMES = ("x0", "x1", "x2", "x3")
@@ -77,12 +78,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return max(sum(m) for m in self.terms)
-
-    def min_degree(self) -> int:
-        """Order of vanishing at the origin."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no order")
-        return min(sum(m) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(m) for m in self.terms}
@@ -358,13 +353,6 @@ def weighted_order(f: Polynomial, weights) -> int:
     return best
 
 
-def var_power_content(f: Polynomial, var: int) -> int:
-    """Largest k with x_var^k dividing f."""
-    if f.is_zero():
-        raise ValueError("content of the zero polynomial")
-    return min(m[var] for m in f.terms)
-
-
 def divide_var_power(f: Polynomial, var: int, k: int) -> Polynomial:
     """Exact division by x_var^k."""
     if k == 0:
@@ -381,15 +369,19 @@ def divide_var_power(f: Polynomial, var: int, k: int) -> Polynomial:
     return _raw(terms)
 
 
-def order_along(f: Polynomial, vars_: frozenset | set) -> int:
+def order_along(f: Polynomial, vars_) -> int:
     """min over monomials of the combined exponent of ``vars_``.
 
     Order >= 1 says the coordinate subvariety lies on {f = 0}; for the
-    line {x1 = x3 = 0} use vars_ = {1, 3}.
+    line {x1 = x3 = 0} use vars_ = (1, 3).  One variable gives the largest
+    k with x_var^k dividing f, all four the order of vanishing at the origin.
     """
     if f.is_zero():
         raise ValueError("order of the zero polynomial")
-    return min(sum(m[i] for i in vars_) for m in f.terms)
+    if len(vars_) == 1:
+        return min(map(itemgetter(*vars_), f.terms))
+    rows = f.terms if len(vars_) == NVARS else map(itemgetter(*vars_), f.terms)
+    return min(map(sum, rows))
 
 
 # -- univariate layer ----------------------------------------------------------
@@ -537,7 +529,7 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
-        return int(self.text[start : self.pos])
+        return from_digits(self.text[start : self.pos])
 
     def parse_rat(self) -> int | Fraction:
         num = self.parse_nat()
@@ -573,14 +565,13 @@ class _Parser:
             return
         if ch == "x":
             start = self.pos
-            self.pos += 1
-            idx = self.text[self.pos] if self.pos < len(self.text) else ""
-            self.pos += 1
+            name = self.text[start : start + 2]
+            self.pos += 2
             nxt = self.text[self.pos] if self.pos < len(self.text) else ""
-            if idx not in ("0", "1", "2", "3") or _is_digit(nxt):
+            if name not in VAR_NAMES or _is_digit(nxt):
                 self.pos = start
                 self.error("unknown variable name")
-            term.mono[int(idx)] += self.parse_nat() if self.eat("^") else 1
+            term.mono[VAR_NAMES.index(name)] += self.parse_nat() if self.eat("^") else 1
             return
         if ch == "":
             self.error("unexpected end of input")
@@ -637,45 +628,31 @@ def _format_monomial(mono) -> str:
         if e == 1:
             parts.append(VAR_NAMES[i])
         elif e > 1:
-            parts.append(f"{VAR_NAMES[i]}^{e}")
+            parts.append(f"{VAR_NAMES[i]}^{digits(e)}")
     return "*".join(parts)
 
 
 def format_poly(f: Polynomial) -> str:
     """Canonical text: graded-lex term order, explicit '*', parenthesized
-    mixed coefficients.  parse(format_poly(f)) == f."""
+    mixed coefficients, each term signed by its coefficient's leading
+    nonzero part, and no real 1 before a monomial.  parse(format_poly(f)) == f."""
     if f.is_zero():
         return "0"
-    pieces = []
+    out = ""
     for mono in sorted(f.terms, key=_grlex_key):
         c = f.terms[mono]
+        negative = (c.re or c.im) < 0
+        if negative:
+            c = -c
+        body = f"({format_coeff(c)})" if c.re and c.im else format_coeff(c)
         mono_text = _format_monomial(mono)
-        negative = False
-        if c.is_real():
-            if c.re < 0:
-                negative, c = True, -c
-            body = format_coeff(c)
-            if mono_text and body == "1":
-                body = mono_text
-            elif mono_text:
-                body = f"{body}*{mono_text}"
-        elif not c.re:
-            if c.im < 0:
-                negative, c = True, -c
-            body = format_coeff(c)
-            if mono_text:
-                body = f"{body}*{mono_text}"
-        else:
-            if c.re < 0:
-                negative, c = True, -c
-            body = f"({format_coeff(c)})"
-            if mono_text:
-                body = f"{body}*{mono_text}"
-        pieces.append((negative, body))
-    first_neg, first = pieces[0]
-    out = ("-" if first_neg else "") + first
-    for negative, body in pieces[1:]:
-        out += (" - " if negative else " + ") + body
+        if mono_text:
+            body = mono_text if c.is_one() else f"{body}*{mono_text}"
+        if out:
+            out += " - " if negative else " + "
+        elif negative:
+            out = "-"
+        out += body
     return out
 
 

@@ -375,7 +375,7 @@ def _classify_germ(g: Polynomial, cert: Certificate, depth: int) -> TypeTag:
     """Dispatch a local double point by the rank of its tangent cone."""
     if g.is_zero() or not g.coefficient((0, 0, 0, 0)).is_zero():
         raise ClassificationError("germ does not vanish at the origin")
-    mult = g.min_degree()
+    mult = order_along(g, (0, 1, 2, 3))
     if mult == 1:
         raise ClassificationError("germ is nonsingular")
     if mult > 2:

@@ -148,6 +148,47 @@ def test_field_extension_exit_code(capsys, tmp_path, argv):
     assert err.startswith("field extension required: ")
 
 
+_ONES, _NINES, _SEVENS = "1" * 5000, "9" * 5000, "7" * 4400
+_BIG = "1234567890" * 1000 + "1"  # 10,001 digits
+# input properties exit 0, 2, 3 or 4; numbers past the interpreter's
+# 4300-digit conversion limit are input like any other
+LONG_NUMBERS = {
+    "5000-digit-coefficient": ("classify", f"x0^2*x2*x3 + {_ONES}*x1^4", 0, "singularity type: A3"),
+    "5000-digit-coefficient-vp": ("vp", f"x0^2*x2*x3 + {_ONES}*x1^4", 0, "singularity type: A3"),
+    "5000-digit-exponent": ("classify", f"x0^2*x2*x3 + x1^{_NINES}", 3, ""),
+    "4400-digit-denominator": ("classify", f"x0^2*x2*x3 + 1/{_SEVENS}*x1^4", 0, "singularity type: A3"),
+    "10001-digit-complex-fraction": (
+        "classify",
+        f"x0^2*x2*x3 + ({_BIG}/3 - {_BIG}/{_BIG[:-1]}*i)*x1^4",
+        0,
+        "singularity type: A3",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, text, code, first", LONG_NUMBERS.values(), ids=LONG_NUMBERS.keys())
+def test_numbers_of_any_length_keep_the_exit_contract(capsys, tmp_path, command, text, code, first):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    got, out, err = run(capsys, command, str(path))
+    assert got == code, err
+    assert out.startswith(first)
+    if code == 3:
+        assert err == "error: input must be a nonzero homogeneous quartic\n"
+
+
+def test_a_certificate_value_past_the_conversion_limit_reads_back(capsys, tmp_path):
+    n = "7" * 3000
+    path = tmp_path / "long.txt"
+    path.write_text(f"x0^2*x2*x3 + x0*({n}*x1^2*x2 + {n}*x1^2*x3) + x1^4 + x2^4 + x3^4")
+    code, out, err = run(capsys, "classify", str(path), "--json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert (data["family"], data["index"], data["exact"]) == ("A", 3, True)
+    (value,) = [e["value"] for e in data["certificate"] if e["name"].startswith("c0 - beta2*beta3")]
+    assert poly.parse_coeff(value) == 1 - int(n) ** 2
+
+
 # (exit code, stderr prefix) of every class in errors.py, and of a
 # ValueError escaping the engine, which is a bug
 EXITS = {

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quarticvp.errors import PolyParseError
-from quarticvp.field import GaussianRational, I
+from quarticvp.field import GaussianRational, I, digits
 from quarticvp.poly import (
     MAX_NESTING,
     Polynomial,
@@ -21,7 +21,6 @@ from quarticvp.poly import (
     unique_multiple_root,
     univariate_derivative,
     univariate_gcd,
-    var_power_content,
     weighted_order,
 )
 
@@ -200,6 +199,93 @@ def test_roundtrip_random():
         assert parse(format_poly(f)) == f
 
 
+def _three_branch_format_coeff(a: GaussianRational) -> str:
+    """The formatter's coefficient text before its one sign rule."""
+
+    def rat(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    if not a.im:
+        return rat(a.re)
+    if a.im == 1:
+        im = "i"
+    elif a.im == -1:
+        im = "-i"
+    else:
+        im = f"{rat(a.im)}*i"
+    if not a.re:
+        return im
+    sep = "-" if im.startswith("-") else "+"
+    return f"{rat(a.re)} {sep} {im.lstrip('-')}"
+
+
+def _three_branch_format_poly(f: Polynomial) -> str:
+    """The formatter before its one term rule: real, imaginary and mixed
+    coefficients each had their own branch."""
+    if f.is_zero():
+        return "0"
+    pieces = []
+    for mono in sorted(f.terms, key=lambda m: (-sum(m), tuple(-e for e in m))):
+        c = f.terms[mono]
+        mono_text = "*".join(
+            f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mono) if e
+        )
+        negative = False
+        if c.is_real():
+            if c.re < 0:
+                negative, c = True, -c
+            body = _three_branch_format_coeff(c)
+            if mono_text and body == "1":
+                body = mono_text
+            elif mono_text:
+                body = f"{body}*{mono_text}"
+        elif not c.re:
+            if c.im < 0:
+                negative, c = True, -c
+            body = _three_branch_format_coeff(c)
+            if mono_text:
+                body = f"{body}*{mono_text}"
+        else:
+            if c.re < 0:
+                negative, c = True, -c
+            body = f"({_three_branch_format_coeff(c)})"
+            if mono_text:
+                body = f"{body}*{mono_text}"
+        pieces.append((negative, body))
+    first_neg, first = pieces[0]
+    out = ("-" if first_neg else "") + first
+    for negative, body in pieces[1:]:
+        out += (" - " if negative else " + ") + body
+    return out
+
+
+def test_one_term_rule_writes_the_three_branch_text():
+    parts = [Fraction(v) for v in (0, 1, -1, 2, -2)] + [
+        Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3), Fraction(-9, 4)
+    ]
+    rng = random.Random(2020)
+    for _ in range(20000):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            mono = tuple(rng.choice((0, 0, 1, 2)) for _ in range(4))
+            terms[mono] = GaussianRational(rng.choice(parts), rng.choice(parts))
+        f = Polynomial(terms)
+        text = format_poly(f)
+        assert text == _three_branch_format_poly(f)
+        assert parse(text) == f
+
+
+def test_numbers_of_any_length_round_trip():
+    big = 7**11834  # 10,001 digits, past the interpreter's 4300-digit limit
+    assert len(digits(big)) == 10001 and digits(-big) == "-" + digits(big)
+    c = GaussianRational(Fraction(-big, big + 2), Fraction(big - 1, 3 * big + 4))
+    f = Polynomial({(0, 1, 2, 1): c, (1, 0, 0, 3): GaussianRational(0, big)})
+    assert parse(format_poly(f)) == f
+    ones, nines = (10**5000 - 1) // 9, 10**5000 - 1
+    g = parse("1" * 5000 + "*x1^" + "9" * 5000)
+    assert g.terms == {(0, nines, 0, 0): ones} and parse(format_poly(g)) == g
+
+
 def test_substitution_examples():
     f = X2 * X3
     assert substitute(f, {2: X1 * X2, 3: X1 * X3}) == X1 * X1 * X2 * X3
@@ -281,14 +367,14 @@ def test_dehomogenize():
 
 def test_content_and_exact_division():
     f = parse("x1^2*x2*x3 + x1^3*x2")
-    assert var_power_content(f, 1) == 2
+    assert order_along(f, (1,)) == 2
     assert divide_var_power(parse("x1^2*x2*x3"), 1, 2) == X2 * X3
     with pytest.raises(ValueError):
         divide_var_power(f, 1, 3)
     total = substitute(parse("x2*x3 + x1^3 + x3^4"), {2: X1 * X2, 3: X1 * X3})
-    assert var_power_content(total, 1) == 2
+    assert order_along(total, (1,)) == 2
     stripped = divide_var_power(total, 1, 2)
-    assert var_power_content(stripped, 1) == 0
+    assert order_along(stripped, (1,)) == 0
 
 
 def test_order_along():
@@ -343,4 +429,4 @@ def test_thin_compositions():
     assert f.homogeneous_component(5).is_zero()
     assert not f.is_homogeneous()
     assert parse("x1^2 + x2*x3").is_homogeneous()
-    assert f.total_degree() == 3 and f.min_degree() == 0
+    assert f.total_degree() == 3 and order_along(f, (0, 1, 2, 3)) == 0
