@@ -139,18 +139,15 @@ I = GaussianRational(0, 1)
 
 
 # str(int) and int(str) stop at 4300 digits; decimal converts exactly at
-# any length, so it takes over past 4000 (a digit holds over 3 bits)
-_PLAIN_DIGITS = 4000
-
-
+# any length
 def digits(n: int) -> str:
     """Decimal text of an integer of any length."""
-    return str(n) if n.bit_length() <= 3 * _PLAIN_DIGITS else str(Decimal(n))
+    return str(Decimal(n))
 
 
 def from_digits(text: str) -> int:
-    """The integer a run of decimal digits spells, at any length."""
-    return int(text) if len(text) <= _PLAIN_DIGITS else int(Decimal(text))
+    """The integer a run of ASCII decimal digits spells, at any length."""
+    return int(Decimal(text))
 
 
 def _format_rat(q: Fraction) -> str:

@@ -378,10 +378,8 @@ def order_along(f: Polynomial, vars_) -> int:
     """
     if f.is_zero():
         raise ValueError("order of the zero polynomial")
-    if len(vars_) == 1:
-        return min(map(itemgetter(*vars_), f.terms))
-    rows = f.terms if len(vars_) == NVARS else map(itemgetter(*vars_), f.terms)
-    return min(map(sum, rows))
+    columns = (map(itemgetter(i), f.terms) for i in vars_)
+    return min(map(sum, zip(*columns)))
 
 
 # -- univariate layer ----------------------------------------------------------
