@@ -18,8 +18,7 @@ line {x1 = x3 = 0}.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import count, islice
 
 from .errors import ReducibleInput
@@ -44,14 +43,29 @@ _MIRROR_IMAGES = {1: _X1 * _X2, 3: _X2 * _X3}
 _LINE_IMAGES = {3: _X1 * _X3}
 
 
+# the crepant multiplicity of each step's center on the strict transform
+EXPECTED_ORDER = {POINT: 2, CURVE: 1}
+
+
 @dataclass(frozen=True)
 class StepRecord:
+    """One chain step: its ray, its kind and the order it measured."""
+
     ray: tuple
     kind: str
     order: int
-    discrepancy: int
-    vp: bool
-    non_canonical: bool = False
+
+    @property
+    def discrepancy(self) -> int:
+        return EXPECTED_ORDER[self.kind] - self.order
+
+    @property
+    def vp(self) -> bool:
+        return self.discrepancy == 0
+
+    @property
+    def non_canonical(self) -> bool:
+        return self.discrepancy < 0
 
     def to_json(self) -> dict:
         return {
@@ -60,25 +74,6 @@ class StepRecord:
             "order": self.order,
             "discrepancy": self.discrepancy,
             "vp": self.vp,
-        }
-
-
-@dataclass
-class VpTrace:
-    weights: tuple
-    assignment: tuple
-    steps: list = field(default_factory=list)
-
-    @property
-    def overall_vp(self) -> bool:
-        return all(s.vp for s in self.steps)
-
-    def to_json(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "assignment": list(self.assignment),
-            "steps": [s.to_json() for s in self.steps],
-            "overall_vp": self.overall_vp,
         }
 
 
@@ -116,8 +111,8 @@ def step_transform(f: Polynomial, kind: str) -> Polynomial:
     return strict
 
 
-def step_vp(f: Polynomial, kind: str) -> StepRecord:
-    """Volume-preserving verdict of one step against the current equation.
+def step_vp(f: Polynomial, kind: str, ray: tuple) -> StepRecord:
+    """The step inserting ``ray``, measured against the current equation.
 
     Point steps need the origin to be a double point (order 2); curve
     steps need the line {x1 = x3 = 0} to lie on the surface with
@@ -125,21 +120,12 @@ def step_vp(f: Polynomial, kind: str) -> StepRecord:
     are flagged, never silently accepted.
     """
     if kind == POINT:
-        order = order_along(f, (0, 1, 2, 3))
-        expected = 2
+        center = (0, 1, 2, 3)
     elif kind == CURVE:
-        order = order_along(f, (1, 3))
-        expected = 1
+        center = (1, 3)
     else:
         raise ValueError(f"unknown step kind {kind!r}")
-    return StepRecord(
-        ray=(),
-        kind=kind,
-        order=order,
-        discrepancy=expected - order,
-        vp=order == expected,
-        non_canonical=order > expected,
-    )
+    return StepRecord(ray, kind, order_along(f, center))
 
 
 def weight_one_relabeling(assignment):
@@ -172,7 +158,7 @@ def toric_walk(f: Polynomial, a: int):
     """
     for i in count(1):
         ray, kind = ((1, i, i), POINT) if i <= a else ((1, a, i), CURVE)
-        record = replace(step_vp(f, kind), ray=ray)
+        record = step_vp(f, kind, ray)
         if kind == CURVE and record.non_canonical:
             raise ReducibleInput(
                 "the center line is multiple on the strict transform; "
@@ -182,11 +168,9 @@ def toric_walk(f: Polynomial, a: int):
         f = step_transform(f, kind)
 
 
-def run_toric_description(q: NormalizedQuartic, assignment) -> VpTrace:
-    """The toric chain of one weight assignment, step by step."""
+def run_toric_description(q: NormalizedQuartic, assignment) -> list:
+    """The step records of the toric chain of one weight assignment: the
+    first b steps of the walk for (1, a, b), coprime or not."""
     perm, (_, a, b) = weight_one_relabeling(assignment)
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"weights (1,{a},{b}) are not coprime")
     f = permute_variables(q.affine_equation(), perm)
-    steps = list(islice(toric_walk(f, a), b))
-    return VpTrace(weights=(1, a, b), assignment=tuple(assignment), steps=steps)
+    return list(islice(toric_walk(f, a), b))

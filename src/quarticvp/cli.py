@@ -23,7 +23,7 @@ from .field import ONE, ZERO
 from .poly import format_poly, parse, parse_coeff
 from .quartic import normalize_at_point
 from .singclass import TypeTag, classification_to_json, classify
-from .vpanalyzer import DEFAULT_MAX_B, analyze_weight, enumerate_vp, sarkisov_filter
+from .vpanalyzer import DEFAULT_MAX_B, analyze_weight, default_max_a, enumerate_vp, sarkisov_filter
 
 EXIT_TABLES = 6
 
@@ -100,7 +100,7 @@ def cmd_classify(args) -> int:
 def cmd_vp(args) -> int:
     q = _load_quartic(args)
     tag, _ = classify(q)
-    verdicts = enumerate_vp(q, max_a=args.max_a, max_b=args.max_b, tag=tag)
+    verdicts = enumerate_vp(q, args.max_a or default_max_a(tag), args.max_b)
     if args.links_only:
         verdicts = sarkisov_filter(verdicts)
     if args.json:
@@ -129,14 +129,12 @@ def cmd_check(args) -> int:
     verdict = analyze_weight(q, a, b)
     if args.json:
         data = verdict.to_json()
-        data["traces"] = [r.trace.to_json() for r in verdict.results]
+        data["traces"] = [r.trace_json() for r in verdict.results]
         print(json.dumps(data, indent=2))
     else:
         print(f"weights {verdict.weights}: {'volume preserving' if verdict.vp else 'not volume preserving'}")
         for r in verdict.results:
-            steps = ", ".join(
-                f"{s.ray}{'+' if s.vp else '-'}" for s in r.trace.steps
-            )
+            steps = ", ".join(f"{s.ray}{'+' if s.vp else '-'}" for s in r.steps)
             print(f"  assignment {r.assignment}: discrepancy {r.discrepancy};  {steps}")
         if verdict.vp:
             print("initiates a Sarkisov link" if verdict.initiates_link else "does not initiate a Sarkisov link")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 from operator import itemgetter
 
-from .errors import PolyParseError
+from .errors import GeometryError, PolyParseError
 from .field import GaussianRational, I, ONE, ZERO, digits, format_coeff, from_digits
 
 NVARS = 4
@@ -445,6 +445,8 @@ def squarefree_excess(p: list) -> int:
 
 # Parentheses nest at most this deep; the formatter never nests at all.
 MAX_NESTING = 64
+# A product of parenthesized sums past the quartic degree is refused unmultiplied.
+MAX_PRODUCT_DEGREE = 4
 
 
 def _is_digit(ch: str) -> bool:
@@ -481,6 +483,12 @@ class _Term:
     def add_to(self, terms: dict) -> None:
         if self.coeff.is_zero():
             return
+        if self.sums:
+            degree = sum(self.mono) + sum(p.total_degree() for p in self.sums)
+            if degree > MAX_PRODUCT_DEGREE:
+                raise GeometryError(
+                    f"a product of parenthesized sums of degree above {MAX_PRODUCT_DEGREE} is not read"
+                )
         product = _raw({tuple(self.mono): -self.coeff if self.negative else self.coeff})
         # Polynomial arithmetic only here, for sums of several terms
         for p in self.sums:
@@ -604,7 +612,8 @@ class _Parser:
 
 
 def parse(text: str) -> Polynomial:
-    """Parse the polynomial grammar; see the package README for the EBNF."""
+    """Parse the polynomial grammar; see the package README for the EBNF
+    and for the ``MAX_PRODUCT_DEGREE`` bound on products of sums."""
     parser = _Parser(text)
     result = parser.parse_expr()
     parser.skip_ws()

@@ -18,7 +18,7 @@ from .poly import format_poly, parse
 from .quartic import normalize_at_point
 from .singclass import TypeTag, classify
 from .tables import check_condition_rows, compute_condition_table
-from .vpanalyzer import enumerate_vp, vp_set
+from .vpanalyzer import default_max_a, enumerate_vp, vp_set
 
 LABELS = {
     "a19_classification": "A19 fixture classifies as A>=8",
@@ -150,7 +150,7 @@ def run(seed: int = 0, quick: bool = False) -> list:
     catalogue = corpus(seed, seeds, 0)
     items = [(spec, q) for spec, q in catalogue if q is not None]
     sweep = [
-        (spec, enumerate_vp(q, tag=spec.target, max_b=8 if quick else 12))
+        (spec, enumerate_vp(q, default_max_a(spec.target), max_b=8 if quick else 12))
         for spec, q in items
     ]
     results = {

@@ -13,13 +13,12 @@ them on one seed's witnesses and acceptance criteria 4 and 5 on three.
 from __future__ import annotations
 
 import json
-from itertools import islice
 
-from .blowup import toric_walk
+from .blowup import run_toric_description
 from .errors import QuarticVPError, ReducibleInput
 from .generator import COLORED_WEIGHTS, GENERATOR_TARGETS, conforming_instance, corpus, refused
 from .singclass import TypeTag
-from .vpanalyzer import enumerate_vp, sarkisov_filter, vp_set
+from .vpanalyzer import default_max_a, enumerate_vp, sarkisov_filter, vp_set
 
 BLACK_WEIGHTS = {
     ("A", 1): ((1, 1, 1),),
@@ -119,16 +118,10 @@ def prior_conditions(ray, table) -> tuple:
 DEGENERATE_DE_RAYS = {(1, 1, 3), (1, 4, 6)}
 
 
-def ray_walk(q, ray) -> list:
-    """The steps of the toric walk up to and including ``ray`` = (1, c, d)."""
-    _, c, d = ray
-    return list(islice(toric_walk(q.affine_equation(), c), d))
-
-
 def ray_step_verdict(q, ray):
     """The vp verdict of the single step inserting ``ray``; the earlier
     steps are walked without judgement."""
-    return ray_walk(q, ray)[-1]
+    return run_toric_description(q, ray)[-1]
 
 
 # -- computed tables and the row checks --------------------------------------------
@@ -143,7 +136,7 @@ def row_verdicts(catalogue) -> dict:
     for spec, q in catalogue:
         entries = rows.setdefault((spec.target, spec.mode), [])
         if spec.mode == "generic" or _first(entries) is None:
-            entries.append((spec, None if q is None else enumerate_vp(q, tag=spec.target)))
+            entries.append((spec, None if q is None else enumerate_vp(q, default_max_a(spec.target))))
     return rows
 
 
@@ -216,7 +209,7 @@ def _toggle_check(family: str, ray, conditions, side, seed: int) -> dict:
 
     Rays in DEGENERATE_DE_RAYS carry the reducibility marker
     ("x1 divides the strict transform"): meeting their conditions makes
-    the whole trace raise ReducibleInput instead of being vp.
+    the walk to the ray raise ReducibleInput instead of being vp.
     """
     degenerate = family != "A" and tuple(ray) in DEGENERATE_DE_RAYS
     outcome = {
@@ -229,7 +222,7 @@ def _toggle_check(family: str, ray, conditions, side, seed: int) -> dict:
     conforming = conforming_instance(family, ray, seed, side)
     if degenerate:
         try:
-            ray_walk(conforming, ray)
+            run_toric_description(conforming, ray)
             outcome["vp_when_met"] = False
             outcome["note"] = "no reducibility contradiction observed"
         except ReducibleInput:

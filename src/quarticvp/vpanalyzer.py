@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .blowup import VpTrace, run_toric_description
+from .blowup import run_toric_description
 from .errors import ConsistencyViolation
 from .poly import dehomogenize, weighted_order
 from .quartic import SLOTS, NormalizedQuartic
-from .singclass import TypeTag, classify
 
 # weight pairs whose blowup can initiate a Sarkisov link from P^3
 LINK_PAIRS = frozenset({(1, 1), (1, 2), (2, 3), (2, 5)})
@@ -30,16 +29,30 @@ DEFAULT_MAX_B = 12
 
 @dataclass(frozen=True)
 class AssignmentResult:
+    """One assignment's direct discrepancy and the steps of its toric chain."""
+
     assignment: tuple
     discrepancy: int
-    stepwise_vp: bool
-    trace: VpTrace
+    steps: list
+
+    @property
+    def stepwise_vp(self) -> bool:
+        return all(s.vp for s in self.steps)
 
     def to_json(self) -> dict:
         return {
             "assignment": list(self.assignment),
             "discrepancy": self.discrepancy,
             "stepwise_vp": self.stepwise_vp,
+        }
+
+    def trace_json(self) -> dict:
+        """The stepwise chain, as ``check --json`` prints it."""
+        return {
+            "weights": sorted(self.assignment),
+            "assignment": list(self.assignment),
+            "steps": [s.to_json() for s in self.steps],
+            "overall_vp": self.stepwise_vp,
         }
 
 
@@ -109,43 +122,29 @@ def distinct_assignments(a: int, b: int) -> list:
 
 
 def analyze_weight(q: NormalizedQuartic, a: int, b: int) -> WeightVerdict:
-    """Evaluate one weight triple by both methods and insist they agree."""
+    """Evaluate one coprime weight triple by both methods and insist they agree."""
+    if math.gcd(a, b) != 1:
+        raise ValueError(f"weights (1,{a},{b}) are not coprime")
     verdict = WeightVerdict(a=a, b=b)
     for assignment in distinct_assignments(a, b):
         disc = direct_vp(q, assignment)
-        trace = run_toric_description(q, assignment)
-        if (disc == 0) != trace.overall_vp:
+        result = AssignmentResult(assignment, disc, run_toric_description(q, assignment))
+        if (disc == 0) != result.stepwise_vp:
             raise ConsistencyViolation(
-                f"direct discrepancy {disc} but stepwise vp={trace.overall_vp} "
+                f"direct discrepancy {disc} but stepwise vp={result.stepwise_vp} "
                 f"for weights {assignment} on {q.to_json()}"
             )
-        verdict.results.append(
-            AssignmentResult(
-                assignment=assignment,
-                discrepancy=disc,
-                stepwise_vp=trace.overall_vp,
-                trace=trace,
-            )
-        )
+        verdict.results.append(result)
     return verdict
 
 
-def default_max_a(tag: TypeTag) -> int:
-    """Bound on ``a`` from the resolution length of the classified type."""
+def default_max_a(tag) -> int:
+    """Bound on ``a`` from the resolution length of the classified ``TypeTag``."""
     return max(1, tag.resolution_point_blowups())
 
 
-def enumerate_vp(
-    q: NormalizedQuartic,
-    max_a: int | None = None,
-    max_b: int = DEFAULT_MAX_B,
-    tag: TypeTag | None = None,
-) -> list:
+def enumerate_vp(q: NormalizedQuartic, max_a: int, max_b: int = DEFAULT_MAX_B) -> list:
     """Verdicts for every coprime (a, b) with a <= max_a, b <= max_b."""
-    if max_a is None:
-        if tag is None:
-            tag, _ = classify(q)
-        max_a = default_max_a(tag)
     verdicts = []
     for a in range(1, max_a + 1):
         for b in range(a, max_b + 1):

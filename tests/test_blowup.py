@@ -14,6 +14,7 @@ from quarticvp.blowup import (
 from quarticvp.errors import ReducibleInput
 from quarticvp.poly import parse
 from quarticvp.quartic import normalize_at_point
+from quarticvp.vpanalyzer import analyze_weight
 
 P0 = (1, 0, 0, 0)
 
@@ -27,11 +28,16 @@ def test_ray_sequences():
         ((1, 2, 3), CURVE),
     ]
     q = normalize_at_point(parse("x0^2*x2*x3 + x0*x1^3 + x2^4"), P0)
-    steps = run_toric_description(q, (1, 2, 5)).steps
+    steps = run_toric_description(q, (1, 2, 5))
     assert [s.kind for s in steps] == [POINT, POINT, CURVE, CURVE, CURVE]
     assert steps[-1].ray == (1, 2, 5)
-    with pytest.raises(ValueError):
-        run_toric_description(q, (1, 2, 4))
+    # any ray (1, c, d) has a chain, coprime or not
+    assert [s.ray for s in run_toric_description(q, (1, 2, 4))] == [
+        (1, 1, 1),
+        (1, 2, 2),
+        (1, 2, 3),
+        (1, 2, 4),
+    ]
 
 
 def test_step_transform_examples():
@@ -44,13 +50,13 @@ def test_step_transform_examples():
 
 
 def test_step_vp_examples():
-    node = step_vp(parse("x2*x3 + x1^3"), POINT)
-    assert node.vp and node.order == 2 and node.discrepancy == 0
-    on_line = step_vp(parse("x2*x3"), CURVE)
+    node = step_vp(parse("x2*x3 + x1^3"), POINT, (1, 1, 1))
+    assert node.vp and node.order == 2 and node.discrepancy == 0 and node.ray == (1, 1, 1)
+    on_line = step_vp(parse("x2*x3"), CURVE, (1, 1, 2))
     assert on_line.vp and on_line.order == 1
-    off_line = step_vp(parse("x2 + x3^2"), CURVE)
+    off_line = step_vp(parse("x2 + x3^2"), CURVE, (1, 1, 2))
     assert not off_line.vp and off_line.order == 0 and off_line.discrepancy == 1
-    worse = step_vp(parse("x1^3 + x2^3 + x3^3"), POINT)
+    worse = step_vp(parse("x1^3 + x2^3 + x3^3"), POINT, (1, 1, 1))
     assert not worse.vp and worse.non_canonical
 
 
@@ -70,18 +76,18 @@ def test_ordinary_blowup_always_vp():
         "x0^2*(x1^2 + x2^2 + x3^2) + x1^4 + x2^4",
     ):
         q = normalize_at_point(parse(text), P0)
-        trace = run_toric_description(q, (1, 1, 1))
-        assert trace.overall_vp and len(trace.steps) == 1
+        steps = run_toric_description(q, (1, 1, 1))
+        assert len(steps) == 1 and steps[0].vp
 
 
 def test_112_needs_rank_at_most_2():
     q = normalize_at_point(parse("x0^2*x2*x3 + x0*x1^3 + x2^4"), P0)
-    assert run_toric_description(q, (1, 1, 2)).overall_vp
+    assert all(s.vp for s in run_toric_description(q, (1, 1, 2)))
     q1 = normalize_at_point(
         parse("x0^2*(x1^2 + x2^2 + x3^2) + x0*x1^3 + x2^4"), P0
     )
     assert not any(
-        run_toric_description(q1, assignment).overall_vp
+        all(s.vp for s in run_toric_description(q1, assignment))
         for assignment in ((1, 1, 2), (1, 2, 1), (2, 1, 1))
     )
 
@@ -91,14 +97,14 @@ def test_123_conditions_on_a_ge_4():
     special = normalize_at_point(
         parse("x0^2*x2*x3 + x0*(x1^2*x3 + x1*x2^2) + x2^4"), P0
     )
-    assert run_toric_description(special, (1, 2, 3)).overall_vp
+    assert all(s.vp for s in run_toric_description(special, (1, 2, 3)))
     # beta2 != 0 blocks the curve step
     generic = normalize_at_point(
         parse("x0^2*x2*x3 + x0*(x1^2*x2 + x1^2*x3 + x1*x2^2) + x2^2*x3^2"), P0
     )
-    trace = run_toric_description(generic, (1, 2, 3))
-    assert not trace.overall_vp
-    assert trace.steps[2].kind == CURVE and not trace.steps[2].vp
+    steps = run_toric_description(generic, (1, 2, 3))
+    assert [s.vp for s in steps] == [True, True, False]
+    assert steps[2].kind == CURVE
 
 
 def test_reducibility_contradiction_is_an_error():
@@ -113,7 +119,8 @@ def test_reducibility_contradiction_is_an_error():
 
 def test_trace_json_shape():
     q = normalize_at_point(parse("x0^2*x2*x3 + x0*x1^3 + x2^4"), P0)
-    data = run_toric_description(q, (1, 1, 2)).to_json()
+    (result,) = [r for r in analyze_weight(q, 1, 2).results if r.assignment == (1, 1, 2)]
+    data = result.trace_json()
     assert data["weights"] == [1, 1, 2]
     assert data["overall_vp"] is True
     assert [s["ray"] for s in data["steps"]] == [[1, 1, 1], [1, 1, 2]]

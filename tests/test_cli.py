@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,34 @@ def test_check_json_includes_the_traces(capsys):
         assert trace["steps"][0]["ray"] == [1, 1, 1]
         assert trace["steps"][-1]["ray"] == sorted(result["assignment"])
         assert trace["overall_vp"] == result["stepwise_vp"]
+
+
+# sha256 of stdout, the same in both fixture frames; the key order of
+# ``check --json`` is part of the contract
+OUTPUT_HASHES = {
+    "vp-json": (("vp", "--json"), "cc96a0b22122933d7fe152c6462917ee9a88a51404b61330d689dab34ce882d0"),
+    "vp-json-links": (
+        ("vp", "--json", "--links-only"),
+        "b7c169a02eb341deb13497be44fa985f209d4e1b2b10cad2b5e539bcf75091f1",
+    ),
+    "check-json-123": (
+        ("check", "--json", "--weights", "1,2,3"),
+        "46c9dd1899369b236fc131902dfbc238023e5349d1aec0935a5003e3c6439c90",
+    ),
+    "check-112": (
+        ("check", "--weights", "1,1,2"),
+        "fcd7b907e3b94e516ef38499928b1e7c18a1c947cda8e827ebd9a72966a2924a",
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", [A19_ORIGINAL, A19], ids=["original", "tangent-cone-form"])
+@pytest.mark.parametrize("argv, digest", OUTPUT_HASHES.values(), ids=OUTPUT_HASHES.keys())
+def test_a19_outputs_are_pinned_byte_for_byte(capsys, fixture, argv, digest):
+    command, *options = argv
+    code, out, _ = run(capsys, command, fixture, *options)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -150,12 +180,16 @@ def test_field_extension_exit_code(capsys, tmp_path, argv):
 
 _ONES, _NINES, _SEVENS = "1" * 5000, "9" * 5000, "7" * 4400
 _BIG = "1234567890" * 1000 + "1"  # 10,001 digits
+_SUM_PRODUCT = "*".join(["(x0 + x1 + x2 + x3)"] * 40)
+_QUARTIC_REFUSAL = "error: input must be a nonzero homogeneous quartic\n"
+_PRODUCT_REFUSAL = "error: a product of parenthesized sums of degree above 4 is not read\n"
 # input properties exit 0, 2, 3 or 4; numbers past the interpreter's
-# 4300-digit conversion limit are input like any other
+# 4300-digit conversion limit are input like any other.  ``expected`` is
+# the start of stdout on exit 0 and the whole of stderr on a refusal
 LONG_NUMBERS = {
     "5000-digit-coefficient": ("classify", f"x0^2*x2*x3 + {_ONES}*x1^4", 0, "singularity type: A3"),
     "5000-digit-coefficient-vp": ("vp", f"x0^2*x2*x3 + {_ONES}*x1^4", 0, "singularity type: A3"),
-    "5000-digit-exponent": ("classify", f"x0^2*x2*x3 + x1^{_NINES}", 3, ""),
+    "5000-digit-exponent": ("classify", f"x0^2*x2*x3 + x1^{_NINES}", 3, _QUARTIC_REFUSAL),
     "4400-digit-denominator": ("classify", f"x0^2*x2*x3 + 1/{_SEVENS}*x1^4", 0, "singularity type: A3"),
     "10001-digit-complex-fraction": (
         "classify",
@@ -163,18 +197,48 @@ LONG_NUMBERS = {
         0,
         "singularity type: A3",
     ),
+    # a product of sums past degree 4 is refused before it is multiplied
+    # out, even where its quintic part would cancel; plain monomials past
+    # degree 4 are never multiplied and may cancel
+    "40-sum-product": ("classify", _SUM_PRODUCT, 3, _PRODUCT_REFUSAL),
+    "cancelling-quintic-sum-product": (
+        "classify",
+        "x0^2*x2*x3 + x1*(x1^3 + x1^4) - x1^5 + x2^4 + x3^4",
+        3,
+        _PRODUCT_REFUSAL,
+    ),
+    "cancelling-quintic-monomials": (
+        "classify",
+        "x0^5 - x0^5 + x0^2*x2*x3 + x1^4 + x2^4 + x3^4",
+        0,
+        "singularity type: A3",
+    ),
 }
 
 
-@pytest.mark.parametrize("command, text, code, first", LONG_NUMBERS.values(), ids=LONG_NUMBERS.keys())
-def test_numbers_of_any_length_keep_the_exit_contract(capsys, tmp_path, command, text, code, first):
+@pytest.mark.parametrize("command, text, code, expected", LONG_NUMBERS.values(), ids=LONG_NUMBERS.keys())
+def test_numbers_of_any_length_keep_the_exit_contract(capsys, tmp_path, command, text, code, expected):
     path = tmp_path / "long.txt"
     path.write_text(text)
     got, out, err = run(capsys, command, str(path))
     assert got == code, err
-    assert out.startswith(first)
-    if code == 3:
-        assert err == "error: input must be a nonzero homogeneous quartic\n"
+    if code == 0:
+        assert out.startswith(expected)
+    else:
+        assert (out, err) == ("", expected)
+
+
+def test_a_product_of_sums_is_refused_before_it_is_multiplied_out(capsys, tmp_path, monkeypatch):
+    products = []
+    multiply = poly.Polynomial.__mul__
+    monkeypatch.setattr(poly.Polynomial, "__mul__", lambda p, q: products.append(q) or multiply(p, q))
+    path = tmp_path / "product.txt"
+    path.write_text(_SUM_PRODUCT)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "classify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (3, _PRODUCT_REFUSAL)
+    assert products == []
 
 
 def test_a_certificate_value_past_the_conversion_limit_reads_back(capsys, tmp_path):

@@ -28,7 +28,7 @@ from quarticvp.quartic import (
 )
 from quarticvp.singclass import TypeTag, classify
 from quarticvp.tables import claimed_vp_table
-from quarticvp.vpanalyzer import analyze_weight, enumerate_vp, vp_conditions, vp_set
+from quarticvp.vpanalyzer import analyze_weight, default_max_a, enumerate_vp, vp_conditions, vp_set
 
 
 @pytest.mark.parametrize("target", GENERATOR_TARGETS, ids=lambda t: t.label())
@@ -81,7 +81,7 @@ def test_generic_a_witness_avoids_the_swapped_colored_weights(witness_corpus):
     # b0 = beta3 = c0 = 0 is vp at (1,2,3) through the assignment (1,3,2)
     q = dict(witness_corpus)[GenSpec(TypeTag("A", 5), "generic", 4)]
     black = claimed_vp_table()["A5"]["black"]
-    assert sorted(vp_set(enumerate_vp(q, tag=TypeTag("A", 5)))) == sorted(map(tuple, black))
+    assert sorted(vp_set(enumerate_vp(q, default_max_a(TypeTag("A", 5))))) == sorted(map(tuple, black))
 
 
 # D/E builder points that meet a colored weight only through the assignment

@@ -8,7 +8,13 @@
 * Only ``singclass`` evaluates the A_n chain quantities, whole or stage by
   stage, so the criteria ladder has one definition.
 * Only ``quartic`` factors a tangent cone (``normalize_cone``), and only
-  ``blowup`` steps through a toric chain (``toric_walk``).
+  ``blowup`` steps through a toric chain (``toric_walk``) and builds its
+  step records (``StepRecord``).
+* ``vpanalyzer`` imports nothing from ``singclass``: its callers pass the
+  bound on ``a`` that a classified type gives.
+* Only ``vpanalyzer.analyze_weight`` refuses non-coprime weights; the
+  chain walks to any ray, and the command line's argument parsers refuse
+  such weights before the engine runs.
 * Only ``singclass`` imports ``a_chain_walk``: the generator leaves every
   A terminal to the classifier instead of walking the chain itself.
 * Only ``singclass`` reads a germ's cone slots (``cone_slots``), and
@@ -107,7 +113,7 @@ def test_only_singclass_evaluates_the_a_chain(path):
 # through quartic.normalize_cone, the chain steps through blowup.toric_walk
 OWNED = {
     "quartic.py": {"factor_rank2", "rank1_square", "change_sending_forms"},
-    "blowup.py": {"step_vp", "step_transform"},
+    "blowup.py": {"step_vp", "step_transform", "StepRecord"},
 }
 
 
@@ -116,6 +122,61 @@ def test_normalizer_and_toric_walk_have_one_home(path):
     foreign = set().union(*(names for owner, names in OWNED.items() if owner != path.name))
     calls = _calls(path, foreign)
     assert not calls, f"{path.name} calls {calls}"
+
+
+def _imported_names(node) -> set:
+    """Every dotted part an import statement names, module and aliases."""
+    module = getattr(node, "module", None) or ""
+    return set(module.split(".")).union(*(a.name.split(".") for a in node.names))
+
+
+def test_vpanalyzer_imports_nothing_from_singclass():
+    imports = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "vpanalyzer.py").read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "singclass" in _imported_names(node)
+    ]
+    assert not imports, f"vpanalyzer.py imports from singclass at lines {imports}"
+
+
+def _gcd_refusals(path) -> list:
+    """(function, line) for every ``raise`` under an ``if`` that tests a gcd."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.If) and _calls_in(child.test, {"gcd"}):
+                found.extend(
+                    (where, n.lineno)
+                    for body in child.body
+                    for n in ast.walk(body)
+                    if isinstance(n, ast.Raise)
+                )
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def _calls_in(node, names) -> bool:
+    return any(
+        isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) in names
+        for n in ast.walk(node)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_analyze_weight_refuses_non_coprime_weights(path):
+    if path.name == "cli.py":  # argument parsers, before the engine runs
+        return
+    allowed = {"analyze_weight"} if path.name == "vpanalyzer.py" else set()
+    refusals = _gcd_refusals(path)
+    stray = [f"{where} (line {line})" for where, line in refusals if where not in allowed]
+    assert not stray, f"{path.name} refuses non-coprime weights in {stray}"
+    assert allowed <= {where for where, _ in refusals}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quarticvp.errors import PolyParseError
+from quarticvp.errors import GeometryError, PolyParseError
 from quarticvp.field import GaussianRational, I, digits
 from quarticvp.poly import (
     MAX_NESTING,
+    MAX_PRODUCT_DEGREE,
     Polynomial,
     dehomogenize,
     divide_var_power,
@@ -26,7 +27,7 @@ from quarticvp.poly import (
 
 from conftest import random_poly
 
-X1, X2, X3 = (Polynomial.variable(i) for i in (1, 2, 3))
+X0, X1, X2, X3 = (Polynomial.variable(i) for i in range(4))
 
 
 def test_parse_literal():
@@ -72,6 +73,21 @@ def test_deep_nesting_is_refused_at_the_offending_parenthesis():
     with pytest.raises(PolyParseError) as err:
         parse("x2 + " + "(" * (MAX_NESTING + 1) + "x1")
     assert err.value.offset == 5 + MAX_NESTING
+
+
+def test_a_product_of_sums_past_degree_4_is_refused_before_multiplying():
+    quartic = "(x0 + x1)*(x0 + x1)*x2*x3"
+    assert parse(quartic) == (X0 + X1) * (X0 + X1) * X2 * X3
+    for text in ("(x0 + x1)*(x0 + x1)*(x0 + x1)*x2*x3", "x1*((x0 + x1)*(x0 + x1)*x2*x3)"):
+        with pytest.raises(GeometryError):
+            parse(text)
+    # refused even where the quintic part would cancel against another term
+    with pytest.raises(GeometryError):
+        parse("x1*(x1^3 + x1^4) - x1^5")
+    # plain monomials are never multiplied out, so they may pass the bound
+    assert parse("x0^5 - x0^5 + x1^2") == X1 * X1
+    # a product whose value is zero is dropped before its degree is read
+    assert parse("0*(x0 + x1)*(x0 + x1)*(x0 + x1)*(x0 + x1)*x2 + x3") == X3
 
 
 @pytest.mark.parametrize(
@@ -173,12 +189,38 @@ _factors = st.recursive(
 )
 
 
+def _refused(tree) -> bool:
+    """Whether some term of the tree, at any depth, holds a parenthesized
+    sum of several terms and has a nonzero value of degree above
+    ``MAX_PRODUCT_DEGREE``: the product the parser will not multiply out."""
+    for _, factors in tree[1]:
+        sums = [value for kind, value in factors if kind == "paren"]
+        if any(_refused(value) for value in sums):
+            return True
+        product = Polynomial.constant(1)
+        for factor in factors:
+            product = product * _evaluate_factor(factor)
+        if (
+            any(len(_evaluate_expr(value).terms) > 1 for value in sums)
+            and product.terms
+            and product.total_degree() > MAX_PRODUCT_DEGREE
+        ):
+            return True
+    return False
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(tree=_exprs(_factors))
 def test_parse_agrees_with_polynomial_arithmetic(tree):
     """An expression tree of the README grammar, rendered to text, parses
-    to the value Polynomial arithmetic gives the same tree."""
-    assert parse(_render_expr(tree)) == _evaluate_expr(tree)
+    to the value Polynomial arithmetic gives the same tree, unless it holds
+    a product of sums past the degree bound, which is refused."""
+    text = _render_expr(tree)
+    if _refused(tree):
+        with pytest.raises(GeometryError):
+            parse(text)
+    else:
+        assert parse(text) == _evaluate_expr(tree)
 
 
 def test_shear_is_the_binomial_substitution():

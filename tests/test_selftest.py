@@ -38,7 +38,11 @@ def _plant(verdict, **changes):
 def test_key_lemma_catches_a_disagreement(a3):
     spec, _, verdict = a3
     assert selftest.key_lemma([(spec, [verdict])]) == []
-    assert selftest.key_lemma([(spec, [_plant(verdict, stepwise_vp=False)])])
+    # the chain of a zero-discrepancy assignment gets one step off its
+    # expected order, so it is no longer stepwise vp
+    steps = next(r.steps for r in verdict.results if r.discrepancy == 0)
+    off = [replace(steps[0], order=steps[0].order + 1)] + steps[1:]
+    assert selftest.key_lemma([(spec, [_plant(verdict, steps=off)])])
 
 
 def test_bounds_catch_a_negative_discrepancy(a3):

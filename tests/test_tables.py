@@ -1,6 +1,7 @@
 import pytest
 
 from quarticvp import tables
+from quarticvp.blowup import run_toric_description
 from quarticvp.errors import ConsistencyViolation
 from quarticvp.field import GaussianRational
 from quarticvp.generator import conforming_instance
@@ -14,7 +15,6 @@ from quarticvp.tables import (
     claimed_vp_table,
     prior_conditions,
     ray_step_verdict,
-    ray_walk,
 )
 from quarticvp.vpanalyzer import vp_conditions
 
@@ -73,7 +73,7 @@ def test_degenerate_rows_mark_reducibility():
     for ray in DEGENERATE_DE_RAYS:
         q = conforming_instance("DE", ray, seed=0)
         with pytest.raises(ReducibleInput):
-            ray_walk(q, ray)
+            run_toric_description(q, ray)
 
 
 def test_conforming_instances_meet_their_conditions():

@@ -57,10 +57,10 @@ def test_analyze_weight_agreement_and_links():
 
 def test_enumerate_vp_sets():
     a2 = normalize_at_point(parse("x0^2*x2*x3 + x0*x1^3 + x2^4 + x3^4"), P0)
-    assert vp_set(enumerate_vp(a2, tag=TypeTag("A", 2))) == {(1, 1, 1), (1, 1, 2)}
+    assert vp_set(enumerate_vp(a2, default_max_a(TypeTag("A", 2)))) == {(1, 1, 1), (1, 1, 2)}
 
     a1 = normalize_at_point(parse("x0^2*(x1^2 + x2^2 + x3^2) + x1^4 + x2^4"), P0)
-    assert vp_set(enumerate_vp(a1, tag=TypeTag("A", 1))) == {(1, 1, 1)}
+    assert vp_set(enumerate_vp(a1, default_max_a(TypeTag("A", 1)))) == {(1, 1, 1)}
 
 
 def test_x3_divides_b_enables_113():
@@ -69,7 +69,7 @@ def test_x3_divides_b_enables_113():
         parse("x0^2*x2*x3 + x0*(x1^2*x3 + x1*x2*x3 + x2^2*x3) + x2^4 + x3^4"), P0
     )
     tag, _ = classify(q)
-    weights = vp_set(enumerate_vp(q, tag=tag))
+    weights = vp_set(enumerate_vp(q, default_max_a(tag)))
     assert (1, 1, 3) in weights
 
 
@@ -78,7 +78,7 @@ def test_sarkisov_filter():
         parse("x0^2*x2*x3 + x0*(x1^2*x3 + x1*x2*x3 + x2^2*x3) + x2^4 + x3^4"), P0
     )
     tag, _ = classify(q)
-    verdicts = enumerate_vp(q, tag=tag)
+    verdicts = enumerate_vp(q, default_max_a(tag))
     filtered = {v.weights for v in sarkisov_filter(verdicts)}
     assert (1, 1, 3) not in filtered
     assert (1, 1, 1) in filtered and (1, 1, 2) in filtered
@@ -110,8 +110,8 @@ def test_monotone_specialization():
     base = generate(GenSpec(TypeTag("A", 6), (1, 2, 3), 3))
     deeper = generate(GenSpec(TypeTag("A", 6), (1, 2, 5), 3))
     tag = TypeTag("A", 6)
-    base_set = vp_set(enumerate_vp(base, tag=tag))
-    deeper_set = vp_set(enumerate_vp(deeper, tag=tag))
+    base_set = vp_set(enumerate_vp(base, default_max_a(tag)))
+    deeper_set = vp_set(enumerate_vp(deeper, default_max_a(tag)))
     assert (1, 2, 3) in base_set
     assert {(1, 2, 3), (1, 2, 5)} <= deeper_set
 
@@ -124,8 +124,9 @@ def test_a_family_vp_set_is_invariant_under_point_fixing_frames(target, witness_
     tangent cone off x2*x3; read in the normal-form frame, the seed-0
     generic witness keeps its vp set in two random frames."""
     q = dict(witness_corpus)[GenSpec(target, "generic", 0)]
-    expected = vp_set(enumerate_vp(q, max_b=6, tag=target))
+    expected = vp_set(enumerate_vp(q, default_max_a(target), max_b=6))
     rng = random.Random(target.index)
     for _ in range(2):
         moved = linear_change(q.full_equation(), random_point_fixing_frame(rng))
-        assert vp_set(enumerate_vp(normalize_at_point(moved, P0), max_b=6, tag=target)) == expected
+        verdicts = enumerate_vp(normalize_at_point(moved, P0), default_max_a(target), max_b=6)
+        assert vp_set(verdicts) == expected
