@@ -23,18 +23,18 @@ from .field import ONE, ZERO
 from .poly import format_poly, parse, parse_coeff
 from .quartic import normalize_at_point
 from .singclass import TypeTag, classification_to_json, classify
-from .vpanalyzer import DEFAULT_MAX_B, analyze_weight, default_max_a, enumerate_vp, sarkisov_filter
+from .vpanalyzer import DEFAULT_MAX_B, MAX_B, analyze_weight, default_max_a, enumerate_vp, sarkisov_filter
 
 EXIT_TABLES = 6
 
 
 def _weights(text: str) -> tuple:
-    """``1,a,b`` or ``a,b`` (``:`` also separates) as (1, a, b), a <= b."""
+    """``1,a,b`` or ``a,b`` (``:`` also separates) as (1, a, b), a <= b <= MAX_B."""
     m = re.fullmatch(r"(?:1[,:])?(\d+)[,:](\d+)", text)
     a, b = sorted(map(int, m.groups())) if m else (0, 0)
-    if a < 1 or math.gcd(a, b) != 1:
+    if a < 1 or b > MAX_B or math.gcd(a, b) != 1:
         raise argparse.ArgumentTypeError(
-            f"expected 1,a,b with coprime positive integers a and b, not {text!r}"
+            f"expected 1,a,b with coprime positive integers a and b <= {MAX_B}, not {text!r}"
         )
     return (1, a, b)
 
@@ -62,9 +62,10 @@ def _point(text: str) -> tuple:
     return point
 
 
-def _positive_int(text: str) -> int:
-    if not re.fullmatch(r"\d+", text) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+def _weight_bound(text: str) -> int:
+    """A bound on a weight: no weight past MAX_B is vp, so none is scanned."""
+    if not re.fullmatch(r"\d+", text) or not 1 <= int(text) <= MAX_B:
+        raise argparse.ArgumentTypeError(f"expected a positive integer <= {MAX_B}, not {text!r}")
     return int(text)
 
 
@@ -222,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vp", help="enumerate volume-preserving weight triples")
     add_input(p)
-    p.add_argument("--max-a", type=_positive_int, default=None)
-    p.add_argument("--max-b", type=_positive_int, default=DEFAULT_MAX_B)
+    p.add_argument("--max-a", type=_weight_bound, default=None)
+    p.add_argument("--max-b", type=_weight_bound, default=DEFAULT_MAX_B)
     p.add_argument("--links-only", action="store_true")
     p.set_defaults(func=cmd_vp)
 

@@ -3,7 +3,8 @@
 Every coefficient in the package is a :class:`GaussianRational`: a pair of
 arbitrary-precision rationals (re, im) representing ``re + im*i``.  Values
 are immutable and always stored reduced (``fractions.Fraction`` keeps the
-components canonical), so equality is componentwise and hashable.
+components canonical), so equality is componentwise and hashable.  No
+other module builds or reads the parts (see "Numbers" in the README).
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def format_coeff(a: GaussianRational) -> str:
     """Render in the grammar forms ``int``, ``int/nat``, ``a*i``, ``a + b*i``.
 
     The sign of the imaginary part joins a mixed value's parts.  Mixed
-    values are not parenthesized here; the polynomial formatter adds them.
+    values are not parenthesized here; ``term_coeff`` adds them.
     """
     if not a.im:
         return _format_rat(a.re)
@@ -168,6 +169,20 @@ def format_coeff(a: GaussianRational) -> str:
     if not a.re:
         return sign + im
     return f"{_format_rat(a.re)} {sign or '+'} {im}"
+
+
+def rational(num: int, den: int, imaginary: bool = False) -> GaussianRational:
+    """The literal num/den, times i when ``imaginary``."""
+    q = Fraction(num, den)
+    return GaussianRational(0, q) if imaginary else GaussianRational(q)
+
+
+def term_coeff(a: GaussianRational) -> tuple:
+    """(negative, text) of a polynomial term's coefficient: the sign of its
+    leading nonzero part, and the rest, parenthesized when it has both parts."""
+    negative = (a.re or a.im) < 0
+    text = format_coeff(-a if negative else a)
+    return negative, f"({text})" if a.re and a.im else text
 
 
 def _rational_sqrt(q: Fraction):

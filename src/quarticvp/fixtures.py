@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .field import GaussianRational
+from .field import rational
 from .poly import Polynomial, parse, substitute
 
 
@@ -33,8 +33,8 @@ def a19_coordinate_change(f: Polynomial) -> Polynomial:
 
     Maps the original form onto the tangent-cone form, exactly.
     """
-    eighth = GaussianRational.of(1) / 8
-    i_eighth = GaussianRational(0, 1) * eighth
+    eighth = rational(1, 8)
+    i_eighth = rational(1, 8, imaginary=True)
     x1, x2, x3 = (Polynomial.variable(k) for k in (1, 2, 3))
     return substitute(
         f,

@@ -25,12 +25,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 from .blowup import mirror_chart, point_chart
 from .errors import GenerationError, QuarticVPError
-from .field import GaussianRational, ONE, ZERO, sqrt_if_exists
+from .field import GaussianRational, ONE, ZERO, rational, sqrt_if_exists
 from .poly import Polynomial, weighted_order
 from .quartic import (
     COEFF_NAMES,
@@ -124,7 +123,7 @@ class GenSpec:
 
 
 def _draw(rng: random.Random) -> GaussianRational:
-    return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return rational(rng.randint(-9, 9), rng.randint(1, 9))
 
 
 def _draw_nonzero(rng: random.Random) -> GaussianRational:

@@ -13,12 +13,11 @@ univariate gcd over Q(i).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import itemgetter
 
 from .errors import GeometryError, PolyParseError
-from .field import GaussianRational, I, ONE, ZERO, digits, format_coeff, from_digits
+from .field import GaussianRational, I, ONE, ZERO, digits, from_digits, rational, term_coeff
 
 NVARS = 4
 VAR_NAMES = ("x0", "x1", "x2", "x3")
@@ -182,11 +181,7 @@ def _raw(terms: dict) -> Polynomial:
 
 
 def _as_poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return Polynomial.constant(x)
-    raise TypeError(f"cannot interpret {x!r} as a polynomial")
+    return x if isinstance(x, Polynomial) else Polynomial.constant(x)
 
 
 # -- substitution ------------------------------------------------------------
@@ -537,28 +532,25 @@ class _Parser:
             self.error("expected a number")
         return from_digits(self.text[start : self.pos])
 
-    def parse_rat(self) -> int | Fraction:
-        num = self.parse_nat()
+    def parse_rat(self) -> tuple[int, int]:
+        num, den = self.parse_nat(), 1
         if self.eat("/"):
             at = self.pos
             den = self.parse_nat()
             if den == 0:
                 self.pos = at
                 self.error("zero denominator")
-            return Fraction(num, den)
-        return num
+        return num, den
 
     def parse_factor(self, term: _Term) -> None:
         """Multiply one coefficient or variable factor into ``term``."""
         ch = self.peek()
         if _is_digit(ch):
-            q = self.parse_rat()
+            num, den = self.parse_rat()
             # "4i" is accepted as tight shorthand for 4*i
-            if self.pos < len(self.text) and self.text[self.pos] == "i":
-                self.pos += 1
-                term.times(GaussianRational(0, q))
-            else:
-                term.times(GaussianRational(q))
+            tight_i = self.text.startswith("i", self.pos)
+            self.pos += tight_i
+            term.times(rational(num, den, tight_i))
             return
         if ch == "i":
             save = self.pos
@@ -647,14 +639,10 @@ def format_poly(f: Polynomial) -> str:
         return "0"
     out = ""
     for mono in sorted(f.terms, key=_grlex_key):
-        c = f.terms[mono]
-        negative = (c.re or c.im) < 0
-        if negative:
-            c = -c
-        body = f"({format_coeff(c)})" if c.re and c.im else format_coeff(c)
+        negative, body = term_coeff(f.terms[mono])
         mono_text = _format_monomial(mono)
         if mono_text:
-            body = mono_text if c.is_one() else f"{body}*{mono_text}"
+            body = mono_text if body == "1" else f"{body}*{mono_text}"
         if out:
             out += " - " if negative else " + "
         elif negative:

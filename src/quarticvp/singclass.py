@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .blowup import mirror_chart, point_chart
 from .errors import ClassificationError, ConsistencyViolation, GeometryError, NonNormalInput
-from .field import ZERO
 from .poly import (
     Polynomial,
     order_along,
@@ -256,13 +255,7 @@ def line_slice(h: Polynomial) -> list:
     The roots are exactly the singular points of {h = 0} on the line
     {x1 = x3 = 0} when the chart equation has pure x1-free part x3^2.
     """
-    coeffs = []
-    for m, c in h.terms.items():
-        if m[1] == 1 and m[3] == 0 and m[0] == 0:
-            e = m[2]
-            if e >= len(coeffs):
-                coeffs.extend([ZERO] * (e + 1 - len(coeffs)))
-            coeffs[e] = c
+    coeffs = [h.coefficient((0, 1, e, 0)) for e in range(h.total_degree())]
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     return coeffs

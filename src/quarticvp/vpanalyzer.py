@@ -25,6 +25,9 @@ from .quartic import SLOTS, NormalizedQuartic
 LINK_PAIRS = frozenset({(1, 1), (1, 2), (2, 3), (2, 5)})
 
 DEFAULT_MAX_B = 12
+# a vp weight (1, a, b) has a + b <= mu + 1 (Furuya-Tomari) and the Milnor
+# number of a point on a quartic K3 is at most 19, so no larger b is vp
+MAX_B = 19
 
 
 @dataclass(frozen=True)

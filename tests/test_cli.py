@@ -309,6 +309,11 @@ BAD_ARGUMENTS = {
     "max-b-zero": (["vp", A19, "--max-b", "0"], "expected a positive integer"),
     "max-a-zero": (["vp", A19, "--max-a", "0"], "expected a positive integer"),
     "max-b-negative": (["vp", A19, "--max-b", "-3"], "expected a positive integer"),
+    # no b past MAX_B = 19 is vp on a quartic, so none is analyzed
+    "max-b-past-bound": (["vp", A19, "--max-b", "20"], "expected a positive integer <= 19"),
+    "max-a-past-bound": (["vp", A19, "--max-a", "20"], "expected a positive integer <= 19"),
+    "weights-past-bound": (["check", A19, "--weights", "1,2,200001"], "and b <= 19"),
+    "specialize-past-bound": (["generate", "--type", "A4", "--specialize", "1,1,20"], "and b <= 19"),
     "point-three": (["classify", A19, "--point", "1:0:0"], "expected four coefficients"),
     "point-zero": (["classify", A19, "--point", "0:0:0:0"], "expected four coefficients"),
     "point-not-coeff": (["vp", A19, "--point", "1:x1:0:0"], "expected four coefficients"),
@@ -321,6 +326,12 @@ def test_bad_arguments_exit_2(capsys, argv, message):
         main(argv)
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_the_largest_weight_bound_still_runs(capsys):
+    code, out, _ = run(capsys, "vp", A19, "--max-b", "19")
+    assert code == 0
+    assert "volume preserving weights: (1, 1, 1), (1, 1, 2)" in out.splitlines()
 
 
 def test_internal_check_exit_code(capsys, tmp_path, monkeypatch):

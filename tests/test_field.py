@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quarticvp.field import GaussianRational, I, ONE, ZERO, sqrt_if_exists
+from quarticvp.field import GaussianRational, I, ONE, ZERO, rational, sqrt_if_exists, term_coeff
 
 rationals = st.builds(
     Fraction,
@@ -86,3 +86,31 @@ def test_norm_not_square_means_no_root():
     for num in range(-20, 21):
         for den in range(1, 21):
             assert Fraction(num, den) ** 2 != 2
+
+
+# the number format's protocol, checked against Fraction pairs
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30), st.booleans())
+def test_rational_literal_matches_a_fraction_oracle(num, den, imaginary):
+    q = Fraction(num, den)
+    a = rational(num, den, imaginary)
+    assert (a.re, a.im) == ((0, q) if imaginary else (q, 0))
+
+
+def _oracle_term_coeff(re: Fraction, im: Fraction):
+    negative = (re or im) < 0
+    if negative:
+        re, im = -re, -im
+    if not im:
+        return negative, str(re)
+    im_text = {1: "i", -1: "-i"}.get(im, f"{im}*i")
+    if not re:
+        return negative, im_text
+    sign = "-" if im < 0 else "+"
+    return negative, f"({re} {sign} {im_text.lstrip('-')})"
+
+
+@given(rationals, rationals)
+def test_term_coeff_matches_a_fraction_oracle(re, im):
+    assert term_coeff(GaussianRational(re, im)) == _oracle_term_coeff(re, im)

@@ -32,6 +32,10 @@
   refusals (``QuarticVPError`` and its subclasses) only.
 * Only ``generator`` catches ``GenerationError``: ``generator.corpus`` is
   the one loop that turns a refused spec into a catalogue entry.
+* Only ``field`` knows how a coefficient is stored: no other module imports
+  ``fractions``, reads a ``.re`` or ``.im`` part, or calls
+  ``GaussianRational`` with parts, and only ``poly`` reads a polynomial's
+  term dict (``.terms``), so each representation can change in one file.
 * The acceptance criteria that ``quarticvp selftest`` also audits call its
   check functions, and criteria 4 and 5 call the row checks that
   ``quarticvp tables`` runs, so each check has one definition.
@@ -304,6 +308,38 @@ def test_only_the_generator_catches_generation_errors(path):
         return
     named = [line for name, line in _caught(path) if name == "GenerationError"]
     assert not named, f"{path.name} catches GenerationError at lines {named}"
+
+
+def _representation_reads(path) -> list:
+    """Where ``path`` builds or reads a coefficient's parts or a term dict."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "fractions" in _imported_names(node):
+            found.append(("fractions import", node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in ("re", "im", "terms"):
+            found.append((f".{node.attr}", node.lineno))
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "GaussianRational"
+            and (node.args or node.keywords)
+        ):
+            found.append(("GaussianRational(...)", node.lineno))
+    return found
+
+
+# the one module that may touch each representation
+REPRESENTATION_OWNER = {
+    "field.py": {"fractions import", ".re", ".im", "GaussianRational(...)"},
+    "poly.py": {".terms"},
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_field_knows_numbers_and_only_poly_knows_terms(path):
+    allowed = REPRESENTATION_OWNER.get(path.name, set())
+    reads = _representation_reads(path)
+    stray = [f"{what} (line {line})" for what, line in reads if what not in allowed]
+    assert not stray, f"{path.name} reaches past its layer: {stray}"
 
 
 def test_scan_sees_the_package():

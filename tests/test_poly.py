@@ -317,6 +317,35 @@ def test_one_term_rule_writes_the_three_branch_text():
         assert parse(text) == f
 
 
+_signed = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
+_monos = st.tuples(*[st.integers(0, 2)] * 4)
+# mixed and negative-imaginary coefficients drawn as often as real ones
+_gaussians = st.one_of(
+    st.builds(GaussianRational, _signed, _signed),
+    st.builds(GaussianRational, st.just(0), _signed),
+    st.builds(GaussianRational, _signed, _signed.map(lambda q: -abs(q) or -1)),
+)
+
+
+@given(st.dictionaries(_monos, _gaussians, min_size=1, max_size=5))
+def test_format_then_parse_is_the_identity(terms):
+    f = Polynomial(terms)
+    assert parse(format_poly(f)) == f
+
+
+@given(st.lists(st.tuples(_rats, _rats, st.booleans(), _monos), min_size=1, max_size=4))
+def test_tight_i_literals_round_trip(terms):
+    # "a - b/ci" reads the tight "b/ci" as (b/c)*i
+    text, f = "", Polynomial.zero()
+    for re, im, neg, m in terms:
+        sign = "-" if neg else " + " if text else ""
+        text += f"{sign}({re} - {im}i)*x0^{m[0]}*x1^{m[1]}*x2^{m[2]}*x3^{m[3]}"
+        c = GaussianRational(re, -im)
+        f = f + Polynomial.monomial(m, -c if neg else c)
+    assert parse(text) == f
+    assert parse(format_poly(f)) == f
+
+
 def test_numbers_of_any_length_round_trip():
     big = 7**11834  # 10,001 digits, past the interpreter's 4300-digit limit
     assert len(digits(big)) == 10001 and digits(-big) == "-" + digits(big)
