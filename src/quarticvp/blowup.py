@@ -18,6 +18,7 @@ line {x1 = x3 = 0}.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -43,40 +44,6 @@ _MIRROR_IMAGES = {1: _X1 * _X2, 3: _X2 * _X3}
 _LINE_IMAGES = {3: _X1 * _X3}
 
 
-# the crepant multiplicity of each step's center on the strict transform
-EXPECTED_ORDER = {POINT: 2, CURVE: 1}
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One chain step: its ray, its kind and the order it measured."""
-
-    ray: tuple
-    kind: str
-    order: int
-
-    @property
-    def discrepancy(self) -> int:
-        return EXPECTED_ORDER[self.kind] - self.order
-
-    @property
-    def vp(self) -> bool:
-        return self.discrepancy == 0
-
-    @property
-    def non_canonical(self) -> bool:
-        return self.discrepancy < 0
-
-    def to_json(self) -> dict:
-        return {
-            "ray": list(self.ray),
-            "kind": self.kind,
-            "order": self.order,
-            "discrepancy": self.discrepancy,
-            "vp": self.vp,
-        }
-
-
 def point_chart(g: Polynomial) -> Polynomial:
     """First chart of the blowup at the origin, exceptional power removed."""
     total = substitute(g, _POINT_IMAGES)
@@ -96,14 +63,48 @@ def line_chart(g: Polynomial) -> Polynomial:
     return divide_var_power(total, 1, order_along(total, (1,)))
 
 
+# a step kind: the variables that vanish on its center, the chart of its
+# blowup, and the crepant order of the center on the strict transform
+StepKind = namedtuple("StepKind", "center chart crepant")
+STEP_KINDS = {
+    POINT: StepKind((0, 1, 2, 3), point_chart, 2),
+    CURVE: StepKind((1, 3), line_chart, 1),
+}
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """One chain step: its ray, its kind and the order it measured."""
+
+    ray: tuple
+    kind: str
+    order: int
+
+    @property
+    def discrepancy(self) -> int:
+        return STEP_KINDS[self.kind].crepant - self.order
+
+    @property
+    def vp(self) -> bool:
+        return self.discrepancy == 0
+
+    @property
+    def non_canonical(self) -> bool:
+        return self.discrepancy < 0
+
+    def to_json(self) -> dict:
+        return {
+            "ray": list(self.ray),
+            "kind": self.kind,
+            "order": self.order,
+            "discrepancy": self.discrepancy,
+            "vp": self.vp,
+        }
+
+
 def step_transform(f: Polynomial, kind: str) -> Polynomial:
     """Strict transform of one chain step, in the first chart."""
-    if kind == POINT:
-        strict = point_chart(f)
-    elif kind == CURVE:
-        strict = line_chart(f)
-    else:
-        raise ValueError(f"unknown step kind {kind!r}")
+    strict = STEP_KINDS[kind].chart(f)
     if strict.is_constant():
         raise ReducibleInput(
             "the exceptional divisor absorbed the whole strict transform"
@@ -119,13 +120,7 @@ def step_vp(f: Polynomial, kind: str, ray: tuple) -> StepRecord:
     multiplicity exactly 1.  Higher orders leave the canonical regime and
     are flagged, never silently accepted.
     """
-    if kind == POINT:
-        center = (0, 1, 2, 3)
-    elif kind == CURVE:
-        center = (1, 3)
-    else:
-        raise ValueError(f"unknown step kind {kind!r}")
-    return StepRecord(ray, kind, order_along(f, center))
+    return StepRecord(ray, kind, order_along(f, STEP_KINDS[kind].center))
 
 
 def weight_one_relabeling(assignment):

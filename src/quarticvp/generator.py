@@ -8,11 +8,11 @@ repair them constraint by constraint.
   solves it exactly.
 * D/E strata fix the root structure of p1 directly: a double root (D) or
   triple root (E) at x2 = 0, so b0 = beta2 = 0, which is the frame in which
-  their colored weights are read.  They then walk the refinement ladder,
-  repairing the first unmet defect (rank drop of a tangent cone, a node
-  that does not split over Q(i), or prescribed root multiplicities one
-  level down) the same way; a three-point quadratic probe backs up the
-  affine one where a coefficient enters twice.
+  their colored weights are read.  They then walk the refinement ladder
+  ``singclass.SUB_GERM``, repairing the first unmet defect (rank drop of a
+  tangent cone, a node that does not split over Q(i), or prescribed root
+  multiplicities one level down) the same way; a three-point quadratic
+  probe backs up the affine one where a coefficient enters twice.
 
 Every candidate is validated by running the real classifier; terminating
 inequalities and genericity are enforced by rejection within a retry cap.
@@ -44,6 +44,7 @@ from .quartic import (
     quartic_from_table,
 )
 from .singclass import (
+    SUB_GERM,
     TypeTag,
     a_criteria,
     classify,
@@ -81,23 +82,20 @@ GENERATOR_TARGETS = tuple(
     TypeTag(f, i, exact=not (f == "A" and i == 8)) for f, i in COLORED_WEIGHTS
 )
 
-# refinement ladder of each D/E stratum below the top germ:
-#   mid   -- D>4 layer, double root prescribed at t = 0
-#   midI  -- D>4 layer, double root at infinity (mirror chart descent)
-#   midE  -- E layer, triple root at infinity
-#   D4 / A3 / A5 -- terminal germ requirements
-# a mid rung is met when the line-slice coefficients it lists in _RUNGS vanish
-_DE_CHAINS = {
-    ("D", 5): ("A3",),
-    ("D", 6): ("D4",),
-    ("D", 7): ("mid", "A3"),
-    ("D", 8): ("mid", "D4"),
-    ("D", 9): ("mid", "mid", "A3"),
-    ("D", 10): ("mid", "mid", "D4"),
-    ("E", 6): ("A5",),
-    ("E", 7): ("mid", "D4"),
-    ("E", 8): ("midE", "mid", "D4"),
-}
+
+def _rungs(target: TypeTag) -> tuple:
+    """The germs below ``target`` on the ``SUB_GERM`` ladder, as walk rungs:
+    ``mid`` for a D germ (double root prescribed at t = 0), ``midE`` for the
+    E7 germ (triple root at infinity), and the last germ's label (A3, A5 or
+    D4) as the terminal requirement."""
+    rungs, germ = [], SUB_GERM[target]
+    while germ in SUB_GERM:
+        rungs.append("midE" if germ.family == "E" else "mid")
+        germ = SUB_GERM[germ]
+    return (*rungs, germ.label())
+
+
+_DE_CHAINS = {(t.family, t.index): _rungs(t) for t in SUB_GERM}
 
 
 @dataclass(frozen=True)

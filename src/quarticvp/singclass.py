@@ -300,8 +300,20 @@ def _a_chain(g: Polynomial, cert: Certificate):
     return TypeTag("A", 8, exact=False)
 
 
+# the D/E refinement ladder: the germ each D/E point blows up to at the
+# multiple point of its exceptional line
+SUB_GERM = {
+    TypeTag("D", 5): TypeTag("A", 3),
+    **{TypeTag("D", k): TypeTag("D", k - 2) for k in range(6, 11)},
+    TypeTag("E", 6): TypeTag("A", 5),
+    TypeTag("E", 7): TypeTag("D", 6),
+    TypeTag("E", 8): TypeTag("E", 7),
+}
+
+
 def _de_chain(g: Polynomial, cert: Certificate, depth: int):
-    """Blowup of a rank-1 germ: coarse split plus recursive refinement."""
+    """Blowup of a rank-1 germ: the coarse split, then the type one rung up
+    ``SUB_GERM`` from the germ at the multiple point of the exceptional line."""
     g, _ = normalize_cone(g)
     if order_along(g, (2, 3)) >= 2:
         raise NonNormalInput("the surface is singular along the x1-axis of a germ")
@@ -340,26 +352,19 @@ def _de_chain(g: Polynomial, cert: Certificate, depth: int):
     cert.add("line singularities", f"d={degree}, multiple at {distinguished}", coarse)
 
     sub = _classify_germ(germ, cert, depth - 1)
-
-    if coarse == "D>4":
-        if sub.family == "E":
-            raise ClassificationError(
-                "a D-type point cannot refine to an E-type point"
-            )
-        index = sub.index + 2
-        if index > 10 or not sub.exact:
-            tag = TypeTag("D", 11, exact=False)
-        else:
-            tag = TypeTag("D", index)
+    lifts = {over: tag for tag, over in SUB_GERM.items() if tag.family == coarse[0]}
+    if sub in lifts:
+        tag = lifts[sub]
+    elif coarse == "D>4" and sub.family == "D":
+        # D9, D10 and D>=11 lift past the last index the chain tells apart
+        tag = TypeTag("D", 11, exact=False)
+    elif coarse == "D>4" and sub.family == "E":
+        raise ClassificationError("a D-type point cannot refine to an E-type point")
     else:
-        # coarse E: only the three Du Val configurations are possible
-        lifts = {("A", 5): 6, ("D", 6): 7, ("E", 7): 8}
-        key = (sub.family, sub.index)
-        if not sub.exact or key not in lifts:
-            raise ClassificationError(
-                f"an E-type point cannot sit over {sub.label()}; input is not canonical"
-            )
-        tag = TypeTag("E", lifts[key])
+        raise ClassificationError(
+            f"{'an E' if coarse == 'E' else 'a D'}-type point cannot sit over "
+            f"{sub.label()}; input is not canonical"
+        )
     cert.add("refine", f"{tag.label()} <- {sub.label()}", "one-blowup lift")
     return tag
 

@@ -125,7 +125,9 @@ def distinct_assignments(a: int, b: int) -> list:
 
 
 def analyze_weight(q: NormalizedQuartic, a: int, b: int) -> WeightVerdict:
-    """Evaluate one coprime weight triple by both methods and insist they agree."""
+    """Evaluate one coprime weight triple (1, a, b), given with a and b in
+    either order, by both methods and insist they agree."""
+    a, b = sorted((a, b))
     if math.gcd(a, b) != 1:
         raise ValueError(f"weights (1,{a},{b}) are not coprime")
     verdict = WeightVerdict(a=a, b=b)

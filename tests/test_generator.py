@@ -206,6 +206,7 @@ def test_unrealizable_stratum_exhausts_retries():
 
 
 def test_corpus_jsonl(witness_corpus):
+    import hashlib
     import json
 
     from quarticvp.generator import corpus_jsonl
@@ -219,6 +220,26 @@ def test_corpus_jsonl(witness_corpus):
     assert set(first) == {"target", "mode", "seed", "quartic"}
     restored = NormalizedQuartic.from_json(first["quartic"])
     assert restored.A == realized[0][1].A
+    # the bytes of ``quarticvp generate --corpus --seed 0``: the realized and
+    # refused specs of the seed-0 corpus, and every realized quartic, are pinned
+    digest = hashlib.sha256(corpus_jsonl(realized).encode()).hexdigest()
+    assert digest == "cc58731d93e9fcfe5f0918e402c32b533a40ed88f7da3ad322a4955abf14c3af"
+
+
+def test_de_rungs_are_read_down_the_ladder():
+    """The rungs the D/E walk meets are derived from ``singclass.SUB_GERM``;
+    they are the chains the generator once stated by hand."""
+    assert generator._DE_CHAINS == {
+        ("D", 5): ("A3",),
+        ("D", 6): ("D4",),
+        ("D", 7): ("mid", "A3"),
+        ("D", 8): ("mid", "D4"),
+        ("D", 9): ("mid", "mid", "A3"),
+        ("D", 10): ("mid", "mid", "D4"),
+        ("E", 6): ("A5",),
+        ("E", 7): ("mid", "D4"),
+        ("E", 8): ("midE", "mid", "D4"),
+    }
 
 
 def test_consistency_violation_is_never_retried(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quarticvp import fixtures
+from quarticvp import fixtures, singclass
 from quarticvp.errors import ClassificationError, NonNormalInput, QuarticVPError
 from quarticvp.blowup import mirror_chart, point_chart
 from quarticvp.field import GaussianRational, ONE, ZERO
@@ -27,7 +28,9 @@ from quarticvp.quartic import (
     normalize_cone,
     quartic_from_table,
 )
+from quarticvp.selftest import REFINEMENT_CHAINS
 from quarticvp.singclass import (
+    SUB_GERM,
     Certificate,
     TypeTag,
     a_chain_quantities,
@@ -100,6 +103,56 @@ def test_a19_chain_quantities_vanish(a19_pair):
 def test_refinement_chains_follow_the_type(text, chain):
     _, cert = classify(normalize_at_point(parse(text), P0))
     assert cert.refinement_chain() == chain
+
+
+def test_refinement_chains_are_paths_down_the_ladder():
+    """``selftest.REFINEMENT_CHAINS`` is criterion 9's own statement of the
+    chains; each entry is its type's walk down ``SUB_GERM``, read bottom up."""
+    assert set(REFINEMENT_CHAINS) == {(t.family, t.index) for t in SUB_GERM}
+    for (family, index), chain in REFINEMENT_CHAINS.items():
+        tag, path = TypeTag(family, index), []
+        while tag in SUB_GERM:
+            path.insert(0, f"{tag.label()} <- {SUB_GERM[tag].label()}")
+            tag = SUB_GERM[tag]
+        assert path == chain, (family, index)
+
+
+D5_TEXT = "x0^2*x3^2 + x0*(x1*x2^2 + x2^3 + x1^2*x3) + x2^4"
+E6_TEXT = "x0^2*x3^2 + x0*x2^3 + x1^4"
+NOT_CANONICAL = "-type point cannot sit over {}; input is not canonical"
+
+
+def _classify_over(monkeypatch, text, sub):
+    """Classify ``text`` with the type of every sub-germ planted as ``sub``."""
+    monkeypatch.setattr(singclass, "_classify_germ", lambda g, cert, depth: sub)
+    return classify(normalize_at_point(parse(text), P0))
+
+
+@pytest.mark.parametrize(
+    "text,sub,label",
+    [(D5_TEXT if t.family == "D" else E6_TEXT, over, t.label()) for t, over in SUB_GERM.items()]
+    + [(D5_TEXT, sub, "D>=11") for sub in (TypeTag("D", 9), TypeTag("D", 10), TypeTag("D", 11, False))],
+)
+def test_de_chain_lifts_through_the_ladder(monkeypatch, text, sub, label):
+    """A D>4 or E point takes the type one rung up ``SUB_GERM`` from its
+    sub-germ; over D9, D10 or D>=11 a D>4 point is D>=11."""
+    tag, cert = _classify_over(monkeypatch, text, sub)
+    assert tag.label() == label
+    assert cert.refinement_chain() == [f"{label} <- {sub.label()}"]
+
+
+@pytest.mark.parametrize(
+    "text,sub,message",
+    [
+        (D5_TEXT, TypeTag("E", 7), "a D-type point cannot refine to an E-type point"),
+        (D5_TEXT, TypeTag("A", 5), "a D" + NOT_CANONICAL.format("A5")),
+        (E6_TEXT, TypeTag("A", 3), "an E" + NOT_CANONICAL.format("A3")),
+        (E6_TEXT, TypeTag("D", 11, False), "an E" + NOT_CANONICAL.format("D>=11")),
+    ],
+)
+def test_de_chain_refuses_a_sub_germ_off_the_ladder(monkeypatch, text, sub, message):
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+        _classify_over(monkeypatch, text, sub)
 
 
 def test_step_counts_match_resolution_length():

@@ -55,6 +55,16 @@ def test_analyze_weight_agreement_and_links():
         analyze_weight(q, 2, 4)
 
 
+def test_analyze_weight_reads_a_and_b_in_either_order():
+    """The link verdict keys on the sorted pair, so (3, 2) is (2, 3)."""
+    q = normalize_at_point(
+        parse("x0^2*x2*x3 + x0*(x1^2*x3 + x1*x2^2) + x2^4"), P0
+    )
+    swapped = analyze_weight(q, 3, 2)
+    assert swapped.to_json() == analyze_weight(q, 2, 3).to_json()
+    assert swapped.weights == (1, 2, 3) and swapped.initiates_link
+
+
 def test_enumerate_vp_sets():
     a2 = normalize_at_point(parse("x0^2*x2*x3 + x0*x1^3 + x2^4 + x3^4"), P0)
     assert vp_set(enumerate_vp(a2, default_max_a(TypeTag("A", 2)))) == {(1, 1, 1), (1, 1, 2)}
