@@ -10,7 +10,7 @@ other module builds or reads the parts (see "Numbers" in the README).
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 
@@ -140,15 +140,49 @@ I = GaussianRational(0, 1)
 
 
 # str(int) and int(str) stop at 4300 digits; decimal converts exactly at
-# any length
+# any length, but in time quadratic in the length.  So, as CPython 3.12's
+# _pylong does, a number longer than one leaf is split in half, each half
+# converted, and the halves joined by one big multiplication.
+_LEAF = 2000  # digits
+_LEAF_BITS = (10**_LEAF).bit_length()
+
+
 def digits(n: int) -> str:
     """Decimal text of an integer of any length."""
-    return str(Decimal(n))
+    if n.bit_length() <= _LEAF_BITS:
+        return str(Decimal(n))
+    if n < 0:
+        return "-" + digits(-n)
+    powers = {}
+
+    def convert(n, width):
+        if width <= _LEAF_BITS:
+            return Decimal(n)
+        k = width // 2
+        high = n >> k
+        if k not in powers:
+            powers[k] = Decimal(2) ** k
+        return convert(high, width - k) * powers[k] + convert(n - (high << k), k)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        return str(convert(n, n.bit_length()))
 
 
 def from_digits(text: str) -> int:
     """The integer a run of ASCII decimal digits spells, at any length."""
-    return int(Decimal(text))
+    powers = {}
+
+    def convert(text):
+        if len(text) <= _LEAF:
+            return int(Decimal(text))
+        k = len(text) // 2
+        if k not in powers:
+            powers[k] = 10**k
+        return convert(text[:-k]) * powers[k] + convert(text[-k:])
+
+    return convert(text)
 
 
 def _format_rat(q: Fraction) -> str:

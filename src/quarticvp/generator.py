@@ -136,49 +136,42 @@ _REFUSED = object()
 
 
 class _Builder:
-    """Mutable coefficient vector with frozen slots and probe solving."""
+    """One coefficient table with frozen slots; probes evaluate copies of it."""
 
     def __init__(self, rng: random.Random, a_part: Polynomial, frozen=()):
-        self.rng = rng
         self.a_part = a_part
-        self.values = {name: _draw(rng) for name in COEFF_NAMES}
-        self.frozen = set()
-        for name in frozen:
-            self.values[name] = ZERO
-            self.frozen.add(name)
+        drawn = CoefficientTable(**{name: _draw(rng) for name in COEFF_NAMES})
+        self.table = drawn._replace(**dict.fromkeys(frozen, ZERO))
+        self.frozen = set(frozen)
 
     def set(self, name, value, freeze=True):
         value = GaussianRational.of(value)
-        if name in self.frozen and self.values[name] != value:
+        if name in self.frozen and getattr(self.table, name) != value:
             raise GenerationError(f"conflicting constraint on frozen {name}")
-        self.values[name] = value
+        self.table = self.table._replace(**{name: value})
         if freeze:
             self.frozen.add(name)
 
     def quartic(self) -> NormalizedQuartic:
-        return quartic_from_table(self.a_part, CoefficientTable(**self.values))
+        return quartic_from_table(self.a_part, self.table)
 
     def solve(self, objective, candidates) -> bool:
-        """Zero ``objective(quartic)`` by adjusting one free coefficient.
+        """Zero ``objective(table)`` by adjusting one free coefficient.
 
         ``objective`` returns None when satisfied, else the defect value.
         A probe the objective refuses (raises a QuarticVPError) is skipped.
         """
 
         def value_at(name, v):
-            old = self.values[name]
-            self.values[name] = v
             try:
-                return objective(self.quartic())
+                return objective(self.table._replace(**{name: v}))
             except QuarticVPError:
                 return _REFUSED
-            finally:
-                self.values[name] = old
 
         for name in candidates:
             if name in self.frozen:
                 continue
-            base = self.values[name]
+            base = getattr(self.table, name)
             y0 = value_at(name, base)
             if y0 is None:
                 return True
@@ -271,8 +264,8 @@ _A_PROBES = (
 def _criterion_defect(k: int):
     """Probe objective: criterion k of the A_n ladder, or None once it vanishes."""
 
-    def objective(q: NormalizedQuartic):
-        value, _, _ = next(islice(a_criteria(coefficients(q)), k, None))
+    def objective(table: CoefficientTable):
+        value, _, _ = next(islice(a_criteria(table), k, None))
         return None if value.is_zero() else value
 
     return objective
@@ -283,11 +276,11 @@ def _build_a(target: TypeTag, frozen, rng: random.Random):
     builder = _Builder(rng, X2X3, frozen)
     for k, candidates in enumerate(_A_PROBES[: target.index - 2]):
         objective = _criterion_defect(k)
-        if objective(builder.quartic()) is None:
+        if objective(builder.table) is None:
             continue
         if not builder.solve(objective, candidates):
             return None
-    if target.exact and _criterion_defect(target.index - 2)(builder.quartic()) is None:
+    if target.exact and _criterion_defect(target.index - 2)(builder.table) is None:
         return None
     return builder.quartic()
 
@@ -328,8 +321,8 @@ def _walk_objective(chain):
     over Q(i), and the classifier checks the index.
     """
 
-    def objective(q: NormalizedQuartic):
-        germ = point_chart(q.affine_equation())
+    def objective(table: CoefficientTable):
+        germ = point_chart(quartic_from_table(X3SQ, table).affine_equation())
         for stage, req in enumerate(chain):
             _, b, c = cone_slots(germ)
             gap = b * b - c * 4
@@ -415,7 +408,7 @@ def _build_de(target: TypeTag, frozen, rng: random.Random):
         # a generic D5 or E6 gets its split node directly: the cone
         # x3^2 + beta3*x1*x3 + c0*x1^2 of the first germ has discriminant
         # s^2, and c0 != 0 keeps the witness off every colored stratum
-        beta3 = builder.values["beta3"]
+        beta3 = builder.table.beta3
         s = _draw_nonzero(rng)
         while s in (beta3, -beta3):
             s = _draw_nonzero(rng)
@@ -427,15 +420,15 @@ def _build_de(target: TypeTag, frozen, rng: random.Random):
 
     for _ in range(24):
         try:
-            defect = objective(builder.quartic())
+            defect = objective(builder.table)
         except QuarticVPError:
             break
         if defect is None:
             break
         want = defect[0]
 
-        def scalar_objective(q, want=want):
-            got = objective(q)
+        def scalar_objective(table, want=want):
+            got = objective(table)
             if got is None or got[0] > want:
                 # the targeted defect is satisfied; a later one may remain
                 return None

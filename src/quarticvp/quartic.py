@@ -13,6 +13,7 @@ normalized equation can be audited against the input.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ConsistencyViolation, FieldExtensionRequired, GeometryError
@@ -402,29 +403,17 @@ SLOTS = {
 COEFF_NAMES = tuple(SLOTS)
 
 
-class CoefficientTable:
-    """The named coefficients of B and C in normal-form coordinates."""
+class CoefficientTable(namedtuple("CoefficientTable", COEFF_NAMES, defaults=(ZERO,) * len(SLOTS))):
+    """The named coefficients of B and C in normal-form coordinates; an
+    immutable tuple in ``COEFF_NAMES`` order, zero where a name is not given."""
 
-    __slots__ = COEFF_NAMES
+    __slots__ = ()
 
-    def __init__(self, **values):
+    def __new__(cls, **values):
         unknown = values.keys() - SLOTS.keys()
         if unknown:
             raise TypeError(f"unknown coefficient names: {', '.join(sorted(unknown))}")
-        for name in COEFF_NAMES:
-            object.__setattr__(self, name, GaussianRational.of(values.get(name, 0)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoefficientTable is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CoefficientTable):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in COEFF_NAMES)
-
-    def __repr__(self):
-        nonzero = {n: str(getattr(self, n)) for n in COEFF_NAMES if getattr(self, n)}
-        return f"CoefficientTable({nonzero})"
+        return super().__new__(cls, **{n: GaussianRational.of(v) for n, v in values.items()})
 
     def part(self, degree: int) -> Polynomial:
         """B (degree 3) or C (degree 4) from the named coefficients."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 from quarticvp import generator, singclass
 from quarticvp.field import GaussianRational
 from quarticvp.generator import GenSpec
-from quarticvp.quartic import COEFF_NAMES, X2X3, CoefficientTable, coefficients, quartic_from_table
+from quarticvp.quartic import COEFF_NAMES, CoefficientTable, coefficients
 from quarticvp.singclass import TypeTag, a_chain_quantities, a_criteria, classify_a
 
 # -- oracle: the one-shot closed forms --------------------------------------------
@@ -215,11 +215,9 @@ def test_generic_a3_never_reads_tau_or_lam(witness_corpus, monkeypatch):
     assert not _families(tables[0].read) & {"tau", "lam"}, tables[0].read
 
 
-def test_criterion_defect_2_never_reads_the_later_stages(monkeypatch):
-    tables = _record_tables(monkeypatch, generator)
-    q = quartic_from_table(X2X3, _dense_table())
-    assert generator._criterion_defect(2)(q) is not None
-    assert len(tables) == 1
-    read = _families(tables[0].read)
-    assert not read & {"sigma", "eps", "tau", "lam"}, tables[0].read
+def test_criterion_defect_2_never_reads_the_later_stages():
+    table = RecordingTable(_dense_table())
+    assert generator._criterion_defect(2)(table) is not None
+    read = _families(table.read)
+    assert not read & {"sigma", "eps", "tau", "lam"}, table.read
     assert {"rho", "delta", "beta"} <= read

@@ -1,9 +1,22 @@
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quarticvp.field import GaussianRational, I, ONE, ZERO, rational, sqrt_if_exists, term_coeff
+from quarticvp import field
+from quarticvp.field import (
+    GaussianRational,
+    I,
+    ONE,
+    ZERO,
+    digits,
+    from_digits,
+    rational,
+    sqrt_if_exists,
+    term_coeff,
+)
 
 rationals = st.builds(
     Fraction,
@@ -114,3 +127,38 @@ def _oracle_term_coeff(re: Fraction, im: Fraction):
 @given(rationals, rationals)
 def test_term_coeff_matches_a_fraction_oracle(re, im):
     assert term_coeff(GaussianRational(re, im)) == _oracle_term_coeff(re, im)
+
+
+def _digit_runs():
+    """Digit runs from 1 digit up to several leaf lengths of the split
+    conversion, with the edges a split can get wrong: a run one digit either
+    side of a leaf, all nines, long runs of zeros in the low half, and
+    integers one either side of a power of two near the leaf's bit length."""
+    rng = random.Random(24)
+    leaf = field._LEAF
+    for size in (1, 2, 9, leaf - 1, leaf, leaf + 1, 2 * leaf, 2 * leaf + 1, 5 * leaf + 3, 9 * leaf):
+        yield str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(size - 1))
+        yield "9" * size
+        yield "1" + "0" * (size - 1)
+    yield "7" + "0" * (3 * leaf) + "5" * leaf
+    yield "0" * (2 * leaf) + "42"
+    for bits in (field._LEAF_BITS - 1, field._LEAF_BITS, field._LEAF_BITS + 1, 4 * field._LEAF_BITS + 7):
+        for n in (2**bits - 1, 2**bits, 2**bits + 1):
+            yield str(Decimal(n))
+
+
+def test_split_digit_conversion_matches_one_shot_decimal():
+    # the oracle is one decimal conversion of the whole run, quadratic but exact
+    for text in _digit_runs():
+        n = int(Decimal(text))
+        assert from_digits(text) == n, len(text)
+        assert digits(n) == str(Decimal(n)), len(text)
+        assert from_digits(digits(n)) == n
+        assert digits(-n) == "-" + digits(n)
+
+
+def test_split_digit_conversion_past_decimals_default_exponent_limit():
+    # decimal's default context stops at 10^6 digits (Emax 999999)
+    text = "1" + "0" * 1000001
+    assert digits(10**1000001) == text
+    assert from_digits(text) == 10**1000001

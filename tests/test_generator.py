@@ -156,7 +156,7 @@ def _d7_quartic(**changes):
 def test_walk_objective_keys_the_first_unmet_coefficient(changes, key):
     # stage 0 is the mid rung: its cone must have rank 1 (key (0, 0)), then
     # coefficients 0 and 1 of its line slice must vanish (keys (0, 1), (0, 2))
-    defect = _walk_objective(("mid", "A3"))(_d7_quartic(**changes))
+    defect = _walk_objective(("mid", "A3"))(coefficients(_d7_quartic(**changes)))
     assert (defect[0] if defect else None) == key
     if not changes:
         assert classify(_d7_quartic())[0] == TypeTag("D", 7)
@@ -268,3 +268,18 @@ def test_probe_solver_skips_refusals_but_not_bugs():
     assert builder.solve(refused, ("b0", "c0")) is False
     with pytest.raises(ConsistencyViolation):
         builder.solve(inconsistent, ("b0",))
+
+
+def test_a_build_assembles_no_quartic_inside_its_probes(monkeypatch):
+    # the A-family probes read criteria off copies of the builder's table;
+    # only the returned witness is assembled into a quartic
+    built = []
+
+    def counting_quartic_from_table(a_part, table):
+        built.append(table)
+        return quartic_from_table(a_part, table)
+
+    monkeypatch.setattr(generator, "quartic_from_table", counting_quartic_from_table)
+    q = generator._build_a(TypeTag("A", 7), (), random.Random(0))
+    assert len(built) == 1
+    assert classify(q)[0] == TypeTag("A", 7)

@@ -349,8 +349,12 @@ def test_tight_i_literals_round_trip(terms):
 def test_numbers_of_any_length_round_trip():
     big = 7**11834  # 10,001 digits, past the interpreter's 4300-digit limit
     assert len(digits(big)) == 10001 and digits(-big) == "-" + digits(big)
+    huge = 7**118329  # 100,000 digits, converted in halves
+    assert len(digits(huge)) == 100000
     c = GaussianRational(Fraction(-big, big + 2), Fraction(big - 1, 3 * big + 4))
-    f = Polynomial({(0, 1, 2, 1): c, (1, 0, 0, 3): GaussianRational(0, big)})
+    f = Polynomial(
+        {(0, 1, 2, 1): c, (1, 0, 0, 3): GaussianRational(0, big), (0, 0, 4, 0): GaussianRational(huge)}
+    )
     assert parse(format_poly(f)) == f
     ones, nines = (10**5000 - 1) // 9, 10**5000 - 1
     g = parse("1" * 5000 + "*x1^" + "9" * 5000)
