@@ -165,7 +165,9 @@ def toric_walk(f: Polynomial, a: int):
 
 def run_toric_description(q: NormalizedQuartic, assignment) -> list:
     """The step records of the toric chain of one weight assignment: the
-    first b steps of the walk for (1, a, b), coprime or not."""
+    first b steps of the walk for (1, a, b), coprime or not.  The walk
+    starts from the quartic's stored chart, relabeled so the weight-1
+    variable is x1."""
     perm, (_, a, b) = weight_one_relabeling(assignment)
     f = permute_variables(q.affine_equation(), perm)
     return list(islice(toric_walk(f, a), b))

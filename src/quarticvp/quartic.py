@@ -234,7 +234,9 @@ class NormalizedQuartic:
     the constructor refuses any other A.  ``change`` is the substitution
     matrix that turns the original input into this representative:
     F_stored(x) = F_input(change . x) up to a constant factor (normalizing
-    a rank-1 cone divides by one).
+    a rank-1 cone divides by one).  The constructor also sums the chart
+    A + B + C once; it is kept outside the fields, so equality, hashing and
+    the JSON form see A, B, C and ``change`` only.
     """
 
     A: Polynomial
@@ -252,14 +254,15 @@ class NormalizedQuartic:
                 raise GeometryError(f"part of degree {deg} is malformed")
         if self.A != X2X3 and self.A != X3SQ and quadratic_rank(self.A) != 3:
             raise GeometryError("tangent cone is not in normal form (x2*x3, x3^2 or rank 3)")
+        object.__setattr__(self, "_affine", self.A + self.B + self.C)
 
     def full_equation(self) -> Polynomial:
         x0 = Polynomial.variable(0)
         return x0 * x0 * self.A + x0 * self.B + self.C
 
     def affine_equation(self) -> Polynomial:
-        """The chart {x0 != 0}: A + B + C."""
-        return self.A + self.B + self.C
+        """The chart {x0 != 0}: A + B + C, the one object the constructor built."""
+        return self._affine
 
     def to_json(self) -> dict:
         return {

@@ -6,6 +6,10 @@ Two routes are always run and must agree:
   assignment, and
 * the stepwise toric description from :mod:`quarticvp.blowup`.
 
+The toric chains start from the quartic's stored chart A + B + C, while
+``direct_vp`` dehomogenizes the full equation itself, so a fault in the
+stored chart cannot reach both routes and pass the cross-check unseen.
+
 A weight triple counts as volume preserving when some assignment of
 {1, a, b} to (x1, x2, x3) has discrepancy zero; the per-assignment results
 stay visible because the normal form breaks the x2/x3 symmetry.

@@ -2,6 +2,7 @@ from itertools import islice
 
 import pytest
 
+from quarticvp import blowup
 from quarticvp.blowup import (
     CURVE,
     POINT,
@@ -14,7 +15,7 @@ from quarticvp.blowup import (
 from quarticvp.errors import ReducibleInput
 from quarticvp.poly import parse
 from quarticvp.quartic import normalize_at_point
-from quarticvp.vpanalyzer import analyze_weight
+from quarticvp.vpanalyzer import analyze_weight, enumerate_vp
 
 P0 = (1, 0, 0, 0)
 
@@ -125,3 +126,20 @@ def test_trace_json_shape():
     assert data["overall_vp"] is True
     assert [s["ray"] for s in data["steps"]] == [[1, 1, 1], [1, 1, 2]]
     assert all(set(s) == {"ray", "kind", "order", "discrepancy", "vp"} for s in data["steps"])
+
+
+def test_toric_chains_relabel_the_stored_chart(a19_pair, monkeypatch):
+    """Every chain of an ``enumerate_vp`` run starts from the quartic's one
+    chart object, relabeled; none re-sums A + B + C."""
+    q = normalize_at_point(a19_pair[1], P0)
+    seen = []  # the inputs themselves, so no id is reused by a freed chart
+    relabel = blowup.permute_variables
+
+    def recording(f, perm):
+        seen.append(f)
+        return relabel(f, perm)
+
+    monkeypatch.setattr(blowup, "permute_variables", recording)
+    verdicts = enumerate_vp(q, 2, 5)
+    assert len(seen) == sum(len(v.results) for v in verdicts) > 0
+    assert {id(f) for f in seen} == {id(q.affine_equation())}

@@ -15,6 +15,11 @@
 * Only ``vpanalyzer.analyze_weight`` refuses non-coprime weights; the
   chain walks to any ray, and the command line's argument parsers refuse
   such weights before the engine runs.
+* Only ``quartic`` sums a quartic's A, B and C, once, when it builds the
+  ``NormalizedQuartic``; every other reader takes that stored chart from
+  ``affine_equation()``.  Only ``vpanalyzer.direct_vp`` dehomogenizes a
+  ``full_equation()``: it is the independent vp route, and no third copy
+  of the chart appears.
 * Only ``singclass`` imports ``a_chain_walk``: the generator leaves every
   A terminal to the classifier instead of walking the chain itself.
 * Only ``singclass`` reads a germ's cone slots (``cone_slots``), and
@@ -126,6 +131,72 @@ def test_normalizer_and_toric_walk_have_one_home(path):
     foreign = set().union(*(names for owner, names in OWNED.items() if owner != path.name))
     calls = _calls(path, foreign)
     assert not calls, f"{path.name} calls {calls}"
+
+
+QUARTIC_PARTS = {"A", "B", "C"}
+
+
+def _part_sums(path) -> list:
+    """Lines of the ``+`` chains in ``path`` that add two or more of a
+    quartic's parts, read as attributes ``.A``, ``.B``, ``.C``."""
+
+    def leaves(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return leaves(node.left) + leaves(node.right)
+        return [node]
+
+    tree = ast.parse(path.read_text())
+    inner = {
+        id(child)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        for child in (node.left, node.right)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and id(node) not in inner
+        and len({leaf.attr for leaf in leaves(node) if isinstance(leaf, ast.Attribute)} & QUARTIC_PARTS) >= 2
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_quartic_sums_a_quartics_parts(path):
+    sums = _part_sums(path)
+    if path.name == "quartic.py":
+        assert len(sums) == 1, f"quartic.py sums A, B, C at lines {sums}"
+    else:
+        assert not sums, f"{path.name} sums a quartic's parts at lines {sums}"
+
+
+def _calls_by_function(path) -> dict:
+    """The names each function of ``path`` calls; calls outside any
+    function are under "<module>"."""
+    found = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                found.setdefault(where, set()).add(name)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_direct_vp_dehomogenizes_a_full_equation(path):
+    allowed = {"direct_vp"} if path.name == "vpanalyzer.py" else set()
+    both = {
+        where
+        for where, names in _calls_by_function(path).items()
+        if {"dehomogenize", "full_equation"} <= names
+    }
+    assert both == allowed, f"{path.name} dehomogenizes a full equation in {sorted(both)}"
 
 
 def _imported_names(node) -> set:

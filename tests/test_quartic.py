@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -217,12 +218,44 @@ def test_coefficients_requires_normal_form():
         coefficients(q)
 
 
+# an A, a D, an E and a rank-3 point, each with its type under ``classify``
+CHART_CASES = [
+    ("x0^2*x2*x3 + x0*x1^3 + x3^4", TypeTag("A", 2)),
+    ("x0^2*x3^2 + x0*(x1^3 + x2^3) + x1^4 + x2^4", TypeTag("D", 4)),
+    ("x0^2*x3^2 + x0*x2^3 + x1^4", TypeTag("E", 6)),
+    ("x0^2*(x1^2 + x2^2 + x3^2) + x0*x1^3 + x2^4", TypeTag("A", 1)),
+]
+
+
+@pytest.mark.parametrize("text,tag", CHART_CASES, ids=[tag.label() for _, tag in CHART_CASES])
+def test_affine_chart_is_built_once(text, tag):
+    """The constructor sums the chart once: every read returns that object,
+    and it is the dehomogenized full equation."""
+    q = normalize_at_point(parse(text), P0)
+    assert classify(q)[0] == tag
+    assert q.affine_equation() is q.affine_equation()
+    assert q.affine_equation() == dehomogenize(q.full_equation(), 0)
+
+
+def test_stored_chart_is_not_a_field():
+    """Two quartics with the same A, B, C and change are equal, hash alike
+    and have one JSON form, though each holds its own chart object."""
+    f = "x0^2*x2*x3 + x0*x1^3 + x2^4 - 4*i*x1^3*x2"
+    q, r = normalize_at_point(parse(f), P0), normalize_at_point(parse(f), P0)
+    assert q.affine_equation() is not r.affine_equation()
+    assert q == r and hash(q) == hash(r)
+    assert q.to_json() == r.to_json()
+    assert [fld.name for fld in dataclasses.fields(q)] == ["A", "B", "C", "change"]
+
+
 def test_json_roundtrip():
     q = normalize_at_point(parse("x0^2*x2*x3 + x0*x1^3 + x2^4 - 4*i*x1^3*x2"), P0)
     data = q.to_json()
     back = NormalizedQuartic.from_json(data)
     assert back.A == q.A and back.B == q.B and back.C == q.C
     assert back.change == q.change
+    assert back == q and hash(back) == hash(q)
+    assert back.affine_equation() == q.affine_equation()
 
 
 @pytest.mark.parametrize("a", ["x1*x2", "x1^2 + x2^2"])

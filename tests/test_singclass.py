@@ -17,6 +17,7 @@ from quarticvp.poly import (
     parse,
     squarefree_excess,
     unique_multiple_root,
+    weighted_order,
 )
 from quarticvp.quartic import (
     COEFF_NAMES,
@@ -40,6 +41,7 @@ from quarticvp.singclass import (
     de_coarse,
     line_slice,
 )
+from quarticvp.vpanalyzer import distinct_assignments, vp_conditions
 
 P0 = (1, 0, 0, 0)
 
@@ -396,6 +398,41 @@ def test_de_coarse_agrees_with_the_degree_cases():
         seen.add((expected, "finite" if t.sigma0 else "at infinity"))
     classes = {(c, where) for c in ("D4", "D>4", "E") for where in ("finite", "at infinity")}
     assert classes | {"p1 = 0"} <= seen
+
+
+def test_no_d_above_4_point_is_vp_at_1_3_5():
+    """Certificate: no D>4 point is vp at (1,3,5), so the D7-D10 (1,3,5)
+    cells hold no witness.
+
+    A point with A = x3^2 is vp at (1,3,5) only through an assignment s of
+    {1,3,5} to (x1,x2,x3) under which the cone itself reaches the
+    threshold 1+3+5-1 = 8: wt_s(x3^2) = 2*s3 >= 8 forces s3 = 5, so s is
+    (1,3,5) or (3,1,5).  The cubic p1 = B(x1,x2,0) = sigma0*x2^3 +
+    rho2*x1*x2^2 + beta2*x1^2*x2 + b0*x1^3 has weighted orders 9, 7, 5, 3
+    under (1,3,5) and 3, 5, 7, 9 under (3,1,5).  Each is below 8 in all
+    slots but one, so ``vp_conditions(s)`` leaves only sigma0 (p1 =
+    sigma0*x2^3), respectively only b0 (p1 = b0*x1^3).  A cube has zero
+    discriminant and zero Hessian, so ``de_coarse`` says E, and it refuses
+    p1 = 0 as non-normal: a point that meets the conditions is never D>4.
+    """
+    rng = random.Random(135)
+    reaching = [s for s in distinct_assignments(3, 5) if weighted_order(X3SQ, s) >= 8]
+    assert reaching == [(1, 3, 5), (3, 1, 5)]
+    seen = set()
+    for assignment, survivor in zip(reaching, ("sigma0", "b0")):
+        conditions = vp_conditions(assignment)
+        assert [n for n in ("sigma0", "rho2", "beta2", "b0") if n not in conditions] == [survivor]
+        free = [n for n in COEFF_NAMES if n not in conditions]
+        for _ in range(200):
+            t = CoefficientTable(**{n: _small(rng, 0.3) for n in free})
+            if getattr(t, survivor).is_zero():
+                with pytest.raises(NonNormalInput):
+                    de_coarse(t, Certificate())
+                seen.add((assignment, "p1 = 0"))
+            else:
+                assert de_coarse(t, Certificate()) == "E", t
+                seen.add((assignment, "E"))
+    assert len(seen) == 4
 
 
 def test_de_coarse_discriminant_is_sympys():
