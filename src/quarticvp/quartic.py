@@ -5,7 +5,10 @@ coordinates with P = (1:0:0:0) and written as x0^2*A + x0*B + C with A, B,
 C of degrees 2, 3, 4 in x1, x2, x3, with A in normal form: literally
 x2*x3 (rank 2), literally x3^2 (rank 1), or of rank 3.  These are the
 three branches the classifier knows.  ``normalize_cone`` brings the tangent
-cone of a quartic (``normal_form``) or of a local germ to x2*x3 or x3^2.
+cone of a quartic (``normal_form``) or of a local germ to x2*x3 or x3^2:
+it splits the cone, with ``complete_square`` as the one square completion,
+and ``frame_sending`` builds the one frame that puts each split form in its
+target row.
 
 All changes of coordinates are recorded as an invertible 4x4 matrix so the
 normalized equation can be audited against the input.
@@ -115,22 +118,36 @@ def _linear_form(vec) -> Polynomial:
     return p
 
 
+def complete_square(q: Polynomial):
+    """(c, L) for the first x_k^2 of ``q`` with a coefficient c != 0, where
+    L = x_k + (the other x_k terms of q)/(2c) as a 3-vector, so that
+    q - c*L^2 is free of x_k; None when ``q`` has no square term."""
+    for k in range(1, 4):
+        c = q.coefficient(quad_monomial(k, k))
+        if not c.is_zero():
+            lvec = tuple(
+                ONE if o == k else q.coefficient(quad_monomial(k, o)) / (c * 2)
+                for o in range(1, 4)
+            )
+            return c, lvec
+    return None
+
+
 def factor_rank2(q: Polynomial):
     """Write a rank-2 quadratic form as a product of two linear forms.
 
     Output is a pair of 3-vectors (f, g) over (x1, x2, x3) with
     _linear_form(f) * _linear_form(g) == q exactly.
     """
-    a = {
-        (i, j): q.coefficient(quad_monomial(i + 1, j + 1))
-        for i in range(3)
-        for j in range(i, 3)
-    }
-
-    diag = [a[(k, k)] for k in range(3)]
-    if all(d.is_zero() for d in diag):
+    square = complete_square(q)
+    if square is None:
         # pure cross terms: a12 x1x2 + a13 x1x3 + a23 x2x3 with one product
         # vanishing (rank 2), so the split is rational
+        a = {
+            (i, j): q.coefficient(quad_monomial(i + 1, j + 1))
+            for i in range(3)
+            for j in range(i, 3)
+        }
         pairs = [((0, 1), 2), ((0, 2), 1), ((1, 2), 0)]
         for (i, j), k in pairs:
             if not a[(i, j)].is_zero():
@@ -144,17 +161,10 @@ def factor_rank2(q: Polynomial):
                     return tuple(f), tuple(g)
         raise ValueError(f"{format_poly(q)} is not a rank-2 quadratic form")
 
-    k = next(i for i, d in enumerate(diag) if not d.is_zero())
-    others = [i for i in range(3) if i != k]
-    # complete the square along x_{k+1}: q = d*L^2 + (binary in the others)
-    d = diag[k]
-    lvec = [ZERO, ZERO, ZERO]
-    lvec[k] = ONE
-    for o in others:
-        key = (min(k, o), max(k, o))
-        lvec[o] = a[key] / (d * 2)
+    # q = d*L^2 + (a binary form in the other two variables), which rank 2
+    # forces to be c*M^2
+    d, lvec = square
     lpoly = _linear_form(lvec)
-    # rank 2 forces the residual, a binary form in the others, to be c*M^2
     c, mvec = rank1_square(q - (lpoly * lpoly).scale(d))
     # q = d L^2 + c M^2 = d (L + sM)(L - sM) with s^2 = -c/d
     s = sqrt_if_exists(-(c / d))
@@ -171,52 +181,33 @@ def factor_rank2(q: Polynomial):
 
 def rank1_square(q: Polynomial):
     """Write a rank-1 quadratic form as c * L^2 with L a rational 3-vector."""
-    for k in range(3):
-        c = q.coefficient(quad_monomial(k + 1, k + 1))
-        if c.is_zero():
-            continue
-        lvec = [ZERO, ZERO, ZERO]
-        lvec[k] = ONE
-        for o in range(3):
-            if o == k:
-                continue
-            lvec[o] = q.coefficient(quad_monomial(k + 1, o + 1)) / (c * 2)
+    square = complete_square(q)
+    if square is not None:
+        c, lvec = square
         lpoly = _linear_form(lvec)
         if (lpoly * lpoly).scale(c) == q:
-            return c, tuple(lvec)
-        raise ValueError(f"{format_poly(q)} is not a rank-1 quadratic form")
+            return square
     raise ValueError(f"{format_poly(q)} is not a rank-1 quadratic form")
 
 
-def change_sending_forms(assignments):
-    """3x3 substitution matrix S with form(S x) = target variable.
+def frame_sending(forms):
+    """4x4 substitution S fixing x0 with form(S x) = x_t for each target t.
 
-    ``assignments`` is a list of (3-vector, target index in 1..3); the map
-    is completed to an invertible one with unit vectors.
+    ``forms`` maps a target index in 1..3 to a 3-vector over (x1, x2, x3).
+    The frame has e0 as row 0 and each form in its target row; each free
+    row, in target order, takes the next unit vector that keeps the rows
+    independent.  S is the frame's inverse; dependent forms raise
+    ValueError.
     """
-    rows = [list(vec) for vec, _ in assignments]
-    for e in range(3):
-        unit = [ONE if i == e else ZERO for i in range(3)]
-        trial = rows + [unit]
-        if mat_rank(tuple(tuple(r) for r in trial)) == len(trial):
-            rows = trial
-            if len(rows) == 3:
-                break
-    t = tuple(tuple(r) for r in rows)
-    targets = [target - 1 for _, target in assignments]
-    targets += [i for i in range(3) if i not in targets]
-    p = tuple(
-        tuple(ONE if j == targets[i] else ZERO for j in range(3)) for i in range(3)
-    )
-    return mat_mul(mat_inverse(t), p)
-
-
-def extend_to_4x4(s3):
-    """Embed a 3x3 change on (x1,x2,x3) into a 4x4 change fixing x0."""
-    rows = [(ONE, ZERO, ZERO, ZERO)]
-    for i in range(3):
-        rows.append((ZERO,) + tuple(s3[i]))
-    return tuple(rows)
+    rows = {t: tuple(vec) for t, vec in forms.items()}
+    units = (tuple(ONE if i == e else ZERO for i in range(3)) for e in range(3))
+    for t in range(1, 4):
+        if t not in rows:
+            rows[t] = next(
+                (u for u in units if mat_rank((*rows.values(), u)) == len(rows) + 1),
+                (ZERO,) * 3,
+            )
+    return mat_inverse([(ONE, ZERO, ZERO, ZERO)] + [(ZERO,) + rows[t] for t in range(1, 4)])
 
 
 # -- the normalized quartic -------------------------------------------------------
@@ -336,14 +327,13 @@ def normalize_cone(g: Polynomial):
         lead_h = next(c for c in h if not c.is_zero())
         if coeff_sort_key(lead_f) < coeff_sort_key(lead_h):
             f, h = h, f
-        s3 = change_sending_forms([(f, 2), (h, 3)])
+        m4 = frame_sending({2: f, 3: h})
         target = X2X3
     else:
         c, lvec = rank1_square(quad)
         g = g.scale(c.inverse())
-        s3 = change_sending_forms([(lvec, 3)])
+        m4 = frame_sending({3: lvec})
         target = X3SQ
-    m4 = extend_to_4x4(s3)
     out = linear_change(g, m4)
     if out.homogeneous_component(2) != target:
         raise ConsistencyViolation("internal normal form check failed")

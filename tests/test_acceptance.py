@@ -8,7 +8,7 @@ shared checks of ``quarticvp.selftest``; criteria 4 and 5 run the row
 checks of ``quarticvp.tables`` that ``quarticvp tables`` runs, which
 compare against the claimed result tables cell by cell.  Cells whose
 defining conditions cannot be met by any normal quartic fail there, and
-deciding them is ROADMAP item 3.
+deciding them is ROADMAP item 5(c).
 """
 
 from __future__ import annotations

@@ -336,7 +336,7 @@ def test_the_largest_weight_bound_still_runs(capsys):
 
 def test_internal_check_exit_code(capsys, tmp_path, monkeypatch):
     # a broken coordinate change must surface as a bug, not as bad input
-    monkeypatch.setattr(quartic, "extend_to_4x4", lambda s3: quartic.mat_identity(4))
+    monkeypatch.setattr(quartic, "frame_sending", lambda forms: quartic.mat_identity(4))
     cone = tmp_path / "cone.txt"
     cone.write_text("x0^2*(x1^2 + x2^2) + x0*x1^3 + x3^4")
     code, _, err = run(capsys, "classify", str(cone))

@@ -121,7 +121,7 @@ def test_only_singclass_evaluates_the_a_chain(path):
 # primitives with one calling module: the cone factorizations are read
 # through quartic.normalize_cone, the chain steps through blowup.toric_walk
 OWNED = {
-    "quartic.py": {"factor_rank2", "rank1_square", "change_sending_forms"},
+    "quartic.py": {"factor_rank2", "rank1_square", "frame_sending"},
     "blowup.py": {"step_vp", "step_transform", "StepRecord"},
 }
 

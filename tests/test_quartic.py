@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -6,16 +7,21 @@ import pytest
 from quarticvp.errors import FieldExtensionRequired, GeometryError
 from quarticvp.field import GaussianRational, ONE, ZERO
 from quarticvp.generator import GenSpec, generate
-from quarticvp.poly import Polynomial, dehomogenize, linear_change, parse
+from quarticvp.poly import Polynomial, dehomogenize, format_poly, linear_change, parse
 from quarticvp.quartic import (
     CoefficientTable,
     NormalizedQuartic,
+    _linear_form,
     coefficients,
+    complete_square,
+    frame_sending,
     mat_identity,
     mat_inverse,
+    mat_rank,
     normal_form,
     normalize_at_point,
     normalize_cone,
+    quad_monomial,
     quadratic_rank,
 )
 from quarticvp.singclass import TypeTag, classify
@@ -265,3 +271,90 @@ def test_from_json_refuses_a_cone_not_in_normal_form(a):
     data["A"] = a
     with pytest.raises(GeometryError, match="normal form"):
         NormalizedQuartic.from_json(data)
+
+
+def _linear(rng, support):
+    """A random linear form in the variables ``support``, every coefficient nonzero."""
+    form = Polynomial.zero()
+    for i in support:
+        c = random_coeff(rng)
+        form = form + Polynomial.variable(i).scale(c if not c.is_zero() else ONE)
+    return form
+
+
+def _pinned_cones(rng, count):
+    """``count`` germs of each cone kind: a rank-2 product of two forms
+    with a square term, a rank-2 product with cross terms only (one form
+    on one variable, the other on the remaining two), a rank-1 c*L^2, and
+    a cone already x2*x3 or x3^2; each with random cubic and quartic
+    terms in x1, x2, x3."""
+    cubic_and_quartic = [
+        (0, i, j, d - i - j) for d in (3, 4) for i in range(d + 1) for j in range(d + 1 - i)
+    ]
+    for k in range(4 * count):
+        kind = k % 4
+        if kind == 0:
+            cone = _linear(rng, (1, 2, 3)) * _linear(rng, rng.sample((1, 2, 3), rng.randint(1, 3)))
+        elif kind == 1:
+            alone = rng.randint(1, 3)
+            cone = _linear(rng, (alone,)) * _linear(rng, [i for i in (1, 2, 3) if i != alone])
+        elif kind == 2:
+            form = _linear(rng, rng.sample((1, 2, 3), rng.randint(1, 3)))
+            cone = (form * form).scale(random_coeff(rng) or GaussianRational(3))
+        else:
+            cone = rng.choice((parse("x2*x3"), parse("x3^2")))
+        higher = Polynomial({m: random_coeff(rng) for m in rng.sample(cubic_and_quartic, 5)})
+        yield kind, cone + higher
+
+
+def test_normalize_cone_output_is_pinned():
+    """The cone normalizer's output and substitution on 40 seeded germs of
+    each kind hash to a fixed value, so a rewrite of the frame builder or
+    of the square completion cannot move a germ or a change matrix."""
+    digest = hashlib.sha256()
+    kinds = set()
+    for kind, germ in _pinned_cones(random.Random(2604), 40):
+        assert 0 < quadratic_rank(germ.homogeneous_component(2)) < 3
+        out, m4 = normalize_cone(germ)
+        digest.update(format_poly(out).encode())
+        digest.update(repr([[str(c) for c in row] for row in m4]).encode())
+        kinds.add((kind, quadratic_rank(germ.homogeneous_component(2))))
+    assert kinds == {(0, 2), (1, 2), (2, 1), (3, 1), (3, 2)}
+    assert digest.hexdigest() == "1a1e64ce3caf3c68da25f94952b33a4a997b127be4ffce6962fea84c2b8571f5"
+
+
+def test_frame_sending_fixes_x0_and_sends_each_form_to_its_target():
+    rng = random.Random(2605)
+    for _ in range(60):
+        targets = rng.sample((1, 2, 3), rng.randint(1, 3))
+        forms = {t: tuple(random_coeff(rng) for _ in range(3)) for t in targets}
+        assert mat_rank(tuple(forms.values())) == len(forms)
+        change = frame_sending(forms)
+        assert change[0] == (ONE, ZERO, ZERO, ZERO)
+        assert all(row[0].is_zero() for row in change[1:])
+        for t, vec in forms.items():
+            assert linear_change(_linear_form(vec), change) == Polynomial.variable(t)
+
+
+def test_frame_sending_fills_free_rows_in_target_order():
+    # e1 depends on the form in row 2, so row 1 takes e2 and row 3 takes e3
+    frame = mat_inverse(frame_sending({2: (ONE, ZERO, ZERO)}))
+    assert frame == (
+        (ONE, ZERO, ZERO, ZERO),
+        (ZERO, ZERO, ONE, ZERO),
+        (ZERO, ONE, ZERO, ZERO),
+        (ZERO, ZERO, ZERO, ONE),
+    )
+    with pytest.raises(ValueError, match="singular"):
+        frame_sending({2: (ONE, ZERO, ZERO), 3: (GaussianRational(2), ZERO, ZERO)})
+
+
+def test_complete_square_clears_the_first_squared_variable():
+    cases = (("x2^2 + 4*x1*x2 - 6*x2*x3 + x1*x3", 2), ("3*x1^2 + x1*x3", 1), ("x1*x2 + x3^2", 3))
+    for text, k in cases:
+        q = parse(text)
+        c, lvec = complete_square(q)
+        assert c == q.coefficient(quad_monomial(k, k)) and lvec[k - 1].is_one()
+        lpoly = _linear_form(lvec)
+        assert all(mono[k] == 0 for mono in (q - (lpoly * lpoly).scale(c)).terms)
+    assert complete_square(parse("x1*x2 + 5*x2*x3")) is None

@@ -21,6 +21,7 @@ from quarticvp.poly import (
 )
 from quarticvp.quartic import (
     COEFF_NAMES,
+    SLOTS,
     CoefficientTable,
     X2X3,
     X3SQ,
@@ -433,6 +434,37 @@ def test_no_d_above_4_point_is_vp_at_1_3_5():
                 assert de_coarse(t, Certificate()) == "E", t
                 seen.add((assignment, "E"))
     assert len(seen) == 4
+
+
+def test_no_normal_x3_squared_point_is_vp_at_1_4_5():
+    """Certificate: no normal quartic with A = x3^2 is vp at (1,4,5), so the
+    D9, D10 and E8 (1,4,5) cells hold no witness.
+
+    The assignments s of {1,4,5} to (x1,x2,x3) under which the cone reaches
+    the threshold 1+4+5-1 = 9 have wt_s(x3^2) = 2*s3 >= 9, which forces
+    s3 = 5: they are (1,4,5) and (4,1,5).  Let x_i be the weight-1 variable
+    of s.  A monomial of degree d <= 4 whose exponents in the other two
+    variables sum to at most 1 is x_i^d or x_i^(d-1)*x_j, of weight at
+    most d + 4 <= 8 < 9.  So every name outside ``vp_conditions(s)``, and
+    x3^2 itself, sits on a monomial whose exponents in the other two
+    variables sum to at least 2: the chart lies in the square of their
+    ideal, it has order >= 2 along the x_i-axis, and the surface is
+    singular along that line through P.  ``classify`` refuses it as
+    non-normal.
+    """
+    rng = random.Random(145)
+    reaching = [s for s in distinct_assignments(4, 5) if weighted_order(X3SQ, s) >= 9]
+    assert reaching == [(1, 4, 5), (4, 1, 5)]
+    for assignment in reaching:
+        axis = assignment.index(1) + 1
+        conditions = vp_conditions(assignment)
+        free = [n for n in COEFF_NAMES if n not in conditions]
+        monomials = [(0,) + SLOTS[n] for n in free] + [(0, 0, 0, 2)]
+        assert all(sum(mono) - mono[axis] >= 2 for mono in monomials), assignment
+        for _ in range(30):
+            t = CoefficientTable(**{n: _small(rng, 0.3) for n in free})
+            with pytest.raises(NonNormalInput):
+                classify(quartic_from_table(X3SQ, t))
 
 
 def test_de_coarse_discriminant_is_sympys():
