@@ -30,7 +30,7 @@ EXIT_TABLES = 6
 
 def _weights(text: str) -> tuple:
     """``1,a,b`` or ``a,b`` (``:`` also separates) as (1, a, b), a <= b <= MAX_B."""
-    m = re.fullmatch(r"(?:1[,:])?(\d+)[,:](\d+)", text)
+    m = re.fullmatch(r"(?:1[,:])?([0-9]+)[,:]([0-9]+)", text)
     a, b = sorted(map(int, m.groups())) if m else (0, 0)
     if a < 1 or b > MAX_B or math.gcd(a, b) != 1:
         raise argparse.ArgumentTypeError(
@@ -64,8 +64,15 @@ def _point(text: str) -> tuple:
 
 def _weight_bound(text: str) -> int:
     """A bound on a weight: no weight past MAX_B is vp, so none is scanned."""
-    if not re.fullmatch(r"\d+", text) or not 1 <= int(text) <= MAX_B:
+    if not re.fullmatch(r"[0-9]+", text) or not 1 <= int(text) <= MAX_B:
         raise argparse.ArgumentTypeError(f"expected a positive integer <= {MAX_B}, not {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """A seed: ASCII digits, with an optional leading minus sign."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, not {text!r}")
     return int(text)
 
 
@@ -238,19 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--type", type=_generator_target, help="e.g. A4, D7, E8, A8+ for A>=8")
     what.add_argument("--corpus", action="store_true", help="emit the whole corpus as JSON lines")
     p.add_argument("--specialize", type=_weights, help="weight triple, e.g. 1,2,3")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_generate, usage_error=p.error)
 
     p = sub.add_parser("tables", help="recompute the result tables and compare")
     p.add_argument("--out", type=_out_dir, help="directory for the table files")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser(
         "selftest", help="acceptance criteria 1-3 and 6-9 on a seeded sample"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--quick", action="store_true", help="smaller sample sizes")
     p.set_defaults(func=cmd_selftest)
 

@@ -83,21 +83,6 @@ GENERATOR_TARGETS = tuple(
 )
 
 
-def _rungs(target: TypeTag) -> tuple:
-    """The germs below ``target`` on the ``SUB_GERM`` ladder, as walk rungs:
-    ``mid`` for a D germ (double root prescribed at t = 0), ``midE`` for the
-    E7 germ (triple root at infinity), and the last germ's label (A3, A5 or
-    D4) as the terminal requirement."""
-    rungs, germ = [], SUB_GERM[target]
-    while germ in SUB_GERM:
-        rungs.append("midE" if germ.family == "E" else "mid")
-        germ = SUB_GERM[germ]
-    return (*rungs, germ.label())
-
-
-_DE_CHAINS = {(t.family, t.index): _rungs(t) for t in SUB_GERM}
-
-
 @dataclass(frozen=True)
 class GenSpec:
     target: TypeTag
@@ -298,14 +283,16 @@ def _build_a1(rng: random.Random):
 # -- D/E construction -----------------------------------------------------------
 
 
-# the coefficients of the line slice p that each mid rung zeroes, in order:
-# a double root at t = 0 (mid), a double root at infinity (midI) or a triple
-# root at infinity (midE)
-_RUNGS = {"mid": (0, 1), "midI": (2, 3), "midE": (1, 2, 3)}
+def _walk_objective(target: TypeTag, first_at_infinity=False):
+    """First unmet defect down ``SUB_GERM`` from ``target``, or None if met.
 
-
-def _walk_objective(chain):
-    """First unmet defect along the refinement ladder, or None when met.
+    Stage s handles the s-th germ below ``target``.  An A germ is the
+    terminal: its cone must split.  D4, which has no sub-germ, ends the walk
+    after its blowup.  Any other germ zeroes the coefficients of its line
+    slice p that put its multiple root where the walk descends: p[0], p[1]
+    for a D germ (double root at t = 0, point chart); p[2], p[3] for the
+    first D germ if ``first_at_infinity`` and p[1..3] for an E germ (double
+    or triple root at infinity, mirror chart).
 
     A defect is (key, value).  Keys order the defects along the walk, so a
     probe can tell "the targeted defect is gone, a later one surfaced" from
@@ -320,13 +307,16 @@ def _walk_objective(chain):
     is then A3 or deeper.  So an A terminal only asks that the cone split
     over Q(i), and the classifier checks the index.
     """
+    germs = [SUB_GERM[target]]
+    while germs[-1] in SUB_GERM:
+        germs.append(SUB_GERM[germs[-1]])
 
     def objective(table: CoefficientTable):
         germ = point_chart(quartic_from_table(X3SQ, table).affine_equation())
-        for stage, req in enumerate(chain):
+        for stage, sub in enumerate(germs):
             _, b, c = cone_slots(germ)
             gap = b * b - c * 4
-            if req in ("A3", "A5"):
+            if sub.family == "A":
                 if gap and sqrt_if_exists(gap) is not None:
                     return None
                 if not c.is_zero():
@@ -340,13 +330,14 @@ def _walk_objective(chain):
             p = line_slice(h)
             if not p:
                 raise GenerationError("exceptional line went fully singular")
-            if req == "D4":
+            if sub not in SUB_GERM:
                 return None
-            for k in _RUNGS[req]:
+            at_infinity = sub.family == "E" or (stage == 0 and first_at_infinity)
+            zeroed = (1, 2, 3) if sub.family == "E" else (2, 3) if at_infinity else (0, 1)
+            for k in zeroed:
                 if k < len(p) and not p[k].is_zero():
                     return (stage, k + 1), p[k]
-            germ = h if req == "mid" else mirror_chart(germ)
-        return None
+            germ = mirror_chart(germ) if at_infinity else h
 
     return objective
 
@@ -398,13 +389,13 @@ def _build_de(target: TypeTag, frozen, rng: random.Random):
         builder.set("rho2", ZERO if family == "E" else _draw_nonzero(rng))
     if free("sigma0"):
         builder.set("sigma0", _draw_nonzero(rng))
-    chain = _DE_CHAINS[(family, index)]
-    if len(chain) > 1:
+    sub = SUB_GERM[target]
+    if sub in SUB_GERM:
         # in a deep stratum the first germ has rank 1, c0 = beta3^2/4; nonzero
         # beta3 keeps c0 nonzero, so the witness stays off every colored stratum
         if free("beta3"):
             builder.set("beta3", _draw_nonzero(rng), freeze=False)
-    elif chain != ("D4",) and free("c0"):
+    elif sub.family == "A" and free("c0"):
         # a generic D5 or E6 gets its split node directly: the cone
         # x3^2 + beta3*x1*x3 + c0*x1^2 of the first germ has discriminant
         # s^2, and c0 != 0 keeps the witness off every colored stratum
@@ -413,10 +404,9 @@ def _build_de(target: TypeTag, frozen, rng: random.Random):
         while s in (beta3, -beta3):
             s = _draw_nonzero(rng)
         builder.set("c0", (beta3 * beta3 - s * s) / 4)
-    if (family, index) == ("E", 7) and frozen:
-        # the specialized stratum hosts its D6 point at infinity
-        chain = ("midI", "D4")
-    objective = _walk_objective(chain)
+    # the specialized E7 stratum hosts its D6 point at infinity
+    at_infinity = (family, index) == ("E", 7) and bool(frozen)
+    objective = _walk_objective(target, first_at_infinity=at_infinity)
 
     for _ in range(24):
         try:

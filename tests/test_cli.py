@@ -102,6 +102,33 @@ def test_a19_outputs_are_pinned_byte_for_byte(capsys, fixture, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_vp_and_check_json_are_pinned(capsys, tmp_path, witness_corpus):
+    """One sha256 over ``vp --json`` and ``check --json`` at four weights, on
+    both A19 frames and the seed-0 generic D7, A4 and E7 witnesses: the bytes
+    both vp routes emit, which a rewrite of either route must keep."""
+    from quarticvp.poly import format_poly
+
+    inputs = [A19_ORIGINAL, A19]
+    for label in ("D7", "A4", "E7"):
+        (q,) = [
+            q
+            for spec, q in witness_corpus
+            if spec.target.label() == label and spec.mode == "generic" and spec.seed == 0
+        ]
+        path = tmp_path / f"{label}.txt"
+        path.write_text(format_poly(q.full_equation()))
+        inputs.append(str(path))
+    digest = hashlib.sha256()
+    for fixture in inputs:
+        runs = [("vp", fixture, "--json")]
+        runs += [("check", fixture, "--json", "--weights", w) for w in ("1,1,2", "1,2,3", "1,3,4", "1,3,5")]
+        for argv in runs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == "7309a20277f615ec91f113f1837e835dc23263ef38faf7992aac788045af9979"
+
+
 @pytest.mark.parametrize(
     "argv,verdict",
     [
@@ -317,6 +344,13 @@ BAD_ARGUMENTS = {
     "point-three": (["classify", A19, "--point", "1:0:0"], "expected four coefficients"),
     "point-zero": (["classify", A19, "--point", "0:0:0:0"], "expected four coefficients"),
     "point-not-coeff": (["vp", A19, "--point", "1:x1:0:0"], "expected four coefficients"),
+    # integer arguments are ASCII digits: not other Unicode digits (here
+    # Arabic-Indic), nor the underscores and spaces int() accepts
+    "weights-non-ascii-digits": (["check", A19, "--weights", "\u0662,\u0663"], "expected 1,a,b"),
+    "max-b-non-ascii-digits": (["vp", A19, "--max-b", "\u0661\u0662"], "expected a positive integer"),
+    "seed-non-ascii-digit": (["generate", "--type", "A4", "--seed", "\u0663"], "expected an integer"),
+    "seed-underscore": (["generate", "--type", "A4", "--seed", "1_0"], "expected an integer"),
+    "seed-space": (["generate", "--type", "A4", "--seed", " 3"], "expected an integer"),
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -138,7 +139,7 @@ def test_de_witnesses_are_built_in_the_flag_frame(witness_corpus):
 
 
 def _d7_quartic(**changes):
-    """A D7 quartic in the flag frame whose walk ("mid", "A3") is met, with
+    """A D7 quartic in the flag frame whose walk (D5, then A3) is met, with
     ``changes`` applied to its named coefficients."""
     values = dict.fromkeys(COEFF_NAMES, ZERO)
     for name in ("sigma0", "rho2", "rho3", "delta3", "c0"):
@@ -154,9 +155,9 @@ def _d7_quartic(**changes):
     ids=["cone", "root", "double-root", "met"],
 )
 def test_walk_objective_keys_the_first_unmet_coefficient(changes, key):
-    # stage 0 is the mid rung: its cone must have rank 1 (key (0, 0)), then
+    # stage 0 is the D5 germ: its cone must have rank 1 (key (0, 0)), then
     # coefficients 0 and 1 of its line slice must vanish (keys (0, 1), (0, 2))
-    defect = _walk_objective(("mid", "A3"))(coefficients(_d7_quartic(**changes)))
+    defect = _walk_objective(TypeTag("D", 7))(coefficients(_d7_quartic(**changes)))
     assert (defect[0] if defect else None) == key
     if not changes:
         assert classify(_d7_quartic())[0] == TypeTag("D", 7)
@@ -226,20 +227,23 @@ def test_corpus_jsonl(witness_corpus):
     assert digest == "cc58731d93e9fcfe5f0918e402c32b533a40ed88f7da3ad322a4955abf14c3af"
 
 
-def test_de_rungs_are_read_down_the_ladder():
-    """The rungs the D/E walk meets are derived from ``singclass.SUB_GERM``;
-    they are the chains the generator once stated by hand."""
-    assert generator._DE_CHAINS == {
-        ("D", 5): ("A3",),
-        ("D", 6): ("D4",),
-        ("D", 7): ("mid", "A3"),
-        ("D", 8): ("mid", "D4"),
-        ("D", 9): ("mid", "mid", "A3"),
-        ("D", 10): ("mid", "mid", "D4"),
-        ("E", 6): ("A5",),
-        ("E", 7): ("mid", "D4"),
-        ("E", 8): ("midE", "mid", "D4"),
-    }
+def test_de_witnesses_meet_their_walk_down_the_ladder(witness_corpus):
+    """The generic D5-D10 and E6 witnesses, and the specialized E7 (1,2,3)
+    ones with their D6 point at infinity, meet the walk down
+    ``singclass.SUB_GERM`` from their type.  Generic E7 and E8 witnesses are
+    left out: their builds stall on p[1] of the D6 germ and still classify
+    right (CHANGES.md, FOUND on the D/E walk)."""
+    checked = Counter()
+    for spec, q in witness_corpus:
+        label = spec.target.label()
+        generic = spec.mode == "generic" and label in ("D5", "D6", "D7", "D8", "D9", "D10", "E6")
+        at_infinity = label == "E7" and spec.mode == (1, 2, 3)
+        if q is None or not (generic or at_infinity):
+            continue
+        assert _walk_objective(spec.target, at_infinity)(coefficients(q)) is None, spec.label()
+        checked[label, at_infinity] += 1
+    expected = {(f"D{k}", False): 8 for k in range(5, 11)} | {("E6", False): 8, ("E7", True): 3}
+    assert checked == expected
 
 
 def test_consistency_violation_is_never_retried(monkeypatch):

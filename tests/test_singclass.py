@@ -436,6 +436,31 @@ def test_no_d_above_4_point_is_vp_at_1_3_5():
     assert len(seen) == 4
 
 
+def test_no_e6_point_is_vp_at_1_3_5():
+    """Certificate: no E6 point is vp at (1,3,5), so the E6 (1,3,5) cell
+    holds no witness.
+
+    By Furuya-Tomari (Proc. AMS 132, 2004), a weight (1, a, b) that is vp at
+    a canonical point of Milnor number mu has a + b <= mu + 1.  E6 has
+    mu = 6, and 3 + 5 = 8 > 7.  The sample checks it on the points the vp
+    conditions leave: for each assignment s under which the cone x3^2
+    reaches the threshold 8, tables with every name of ``vp_conditions(s)``
+    zero.  ``classify`` either gives another type or refuses the point.
+    """
+    rng = random.Random(1356)
+    reaching = [s for s in distinct_assignments(3, 5) if weighted_order(X3SQ, s) >= 8]
+    assert reaching == [(1, 3, 5), (3, 1, 5)]
+    for assignment in reaching:
+        free = [n for n in COEFF_NAMES if n not in vp_conditions(assignment)]
+        for _ in range(200):
+            t = CoefficientTable(**{n: _small(rng, 0.3) for n in free})
+            try:
+                tag, _ = classify(quartic_from_table(X3SQ, t))
+            except QuarticVPError:
+                continue  # refused: the point is out of scope
+            assert tag != TypeTag("E", 6), t
+
+
 def test_no_normal_x3_squared_point_is_vp_at_1_4_5():
     """Certificate: no normal quartic with A = x3^2 is vp at (1,4,5), so the
     D9, D10 and E8 (1,4,5) cells hold no witness.
