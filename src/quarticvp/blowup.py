@@ -13,7 +13,9 @@ Everything is tracked in the first affine chart, where every center of the
 chain is visible.  The chart maps live here too and are shared with the
 local classifier and the witness generator: ``point_chart`` and
 ``mirror_chart`` for a point blowup, ``line_chart`` for a blowup of the
-line {x1 = x3 = 0}.
+line {x1 = x3 = 0}.  A line step is the monomial map x3 -> x1*x3, which is
+unimodular on exponents, so ``line_chart`` is ``poly.monomial_chart``: it
+relabels exponents and does no Q(i) arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import ReducibleInput
 from .poly import (
     Polynomial,
     divide_var_power,
+    monomial_chart,
     order_along,
     permute_variables,
     substitute,
@@ -41,7 +44,6 @@ _X3 = Polynomial.variable(3)
 # the images of the chart maps, built once
 _POINT_IMAGES = {2: _X1 * _X2, 3: _X1 * _X3}
 _MIRROR_IMAGES = {1: _X1 * _X2, 3: _X2 * _X3}
-_LINE_IMAGES = {3: _X1 * _X3}
 
 
 def point_chart(g: Polynomial) -> Polynomial:
@@ -59,8 +61,7 @@ def mirror_chart(g: Polynomial) -> Polynomial:
 
 def line_chart(g: Polynomial) -> Polynomial:
     """Chart of the blowup of {x1 = x3 = 0}, exceptional power removed."""
-    total = substitute(g, _LINE_IMAGES)
-    return divide_var_power(total, 1, order_along(total, (1,)))
+    return monomial_chart(g, 1, (3,))
 
 
 # a step kind: the variables that vanish on its center, the chart of its

@@ -6,7 +6,8 @@ equality.  The ring is deliberately fixed at four variables: everything in
 this package lives in P^3.
 
 The module also carries the handful of primitives the geometry needs:
-weighted order, chart substitutions, the shear x_i -> x_i + c*x0,
+weighted order, chart substitutions, the monomial blowup chart on
+exponents alone (``monomial_chart``), the shear x_i -> x_i + c*x0,
 exceptional-power extraction, order along a coordinate line, and exact
 univariate gcd over Q(i).
 """
@@ -252,6 +253,25 @@ def permute_variables(f: Polynomial, perm) -> Polynomial:
         out = [0, 0, 0, 0]
         for i, e in enumerate(m):
             out[perm[i]] = e
+        terms[tuple(out)] = c
+    return _raw(terms)
+
+
+def monomial_chart(f: Polynomial, into: int, sources) -> Polynomial:
+    """Blowup chart x_s -> x_into*x_s for each s in ``sources``, with the
+    largest power of x_into divided out.
+
+    The map is unimodular on exponents, so no two terms meet and every
+    coefficient carries over unchanged: only the exponent tuples change.
+    """
+    if f.is_zero():
+        raise ValueError("chart of the zero polynomial")
+    lifted = [m[into] + sum(m[s] for s in sources) for m in f.terms]
+    k = min(lifted)
+    terms = {}
+    for (m, c), e in zip(f.terms.items(), lifted):
+        out = list(m)
+        out[into] = e - k
         terms[tuple(out)] = c
     return _raw(terms)
 

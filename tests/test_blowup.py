@@ -1,11 +1,17 @@
+from collections import Counter
 from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quarticvp import blowup
 from quarticvp.blowup import (
     CURVE,
     POINT,
+    line_chart,
+    mirror_chart,
+    point_chart,
     run_toric_description,
     step_transform,
     step_vp,
@@ -13,11 +19,23 @@ from quarticvp.blowup import (
     weight_one_relabeling,
 )
 from quarticvp.errors import ReducibleInput
-from quarticvp.poly import parse
+from quarticvp.poly import (
+    Polynomial,
+    divide_var_power,
+    monomial_chart,
+    order_along,
+    parse,
+    permute_variables,
+    substitute,
+    weighted_order,
+)
 from quarticvp.quartic import normalize_at_point
 from quarticvp.vpanalyzer import analyze_weight, enumerate_vp
 
+from conftest import random_poly
+
 P0 = (1, 0, 0, 0)
+X1, X3 = Polynomial.variable(1), Polynomial.variable(3)
 
 
 def test_ray_sequences():
@@ -143,3 +161,82 @@ def test_toric_chains_relabel_the_stored_chart(a19_pair, monkeypatch):
     verdicts = enumerate_vp(q, 2, 5)
     assert len(seen) == sum(len(v.results) for v in verdicts) > 0
     assert {id(f) for f in seen} == {id(q.affine_equation())}
+
+
+def _substituted_line_chart(g):
+    """The line chart as a substitution followed by an exact division."""
+    total = substitute(g, {3: X1 * X3})
+    return divide_var_power(total, 1, order_along(total, (1,)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rng=st.randoms(use_true_random=False), with_x0=st.booleans())
+def test_monomial_chart_is_each_blowup_chart(rng, with_x0):
+    g = random_poly(rng, max_terms=8, max_degree=6)
+    if not with_x0:
+        g = substitute(g, {0: Polynomial.constant(1)})
+    assume(not g.is_zero())
+    line = line_chart(g)
+    assert line == _substituted_line_chart(g)
+    assert monomial_chart(g, 1, (2, 3)) == point_chart(g)
+    assert permute_variables(monomial_chart(g, 2, (1, 3)), (0, 2, 1, 3)) == mirror_chart(g)
+    # a unimodular exponent map: no two terms meet, every coefficient survives
+    assert Counter(line.terms.values()) == Counter(g.terms.values())
+
+
+def test_monomial_chart_refuses_zero():
+    with pytest.raises(ValueError):
+        monomial_chart(Polynomial.zero(), 1, (3,))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_step_orders_are_weighted_order_increments(witness_corpus, data):
+    """Step k measures wt_{r_k}(f) - wt_{r_(k-1)}(f) on the relabeled chart f,
+    with wt_{r_0} = 0.  A test oracle only: the walk measures each step on
+    its own strict transform, so the two vp routes stay independent."""
+    q = data.draw(st.sampled_from([q for _, q in witness_corpus if q is not None]))
+    a = data.draw(st.integers(1, 4))
+    b = data.draw(st.integers(a, 8))
+    assignment = data.draw(st.permutations((1, a, b)))
+    try:
+        steps = run_toric_description(q, assignment)
+    except ReducibleInput:
+        assume(False)
+    perm, _ = weight_one_relabeling(assignment)
+    f = permute_variables(q.affine_equation(), perm)
+    previous = 0
+    for step in steps:
+        wt = weighted_order(f, step.ray)
+        assert step.order == wt - previous
+        previous = wt
+
+
+def test_both_walk_refusals_run_through_the_line_chart():
+    q = normalize_at_point(parse("x0^2*x3^2"), P0)
+    with pytest.raises(ReducibleInput, match="absorbed the whole strict transform"):
+        run_toric_description(q, (2, 3, 1))
+    with pytest.raises(ReducibleInput, match="center line is multiple on the strict transform"):
+        run_toric_description(q, (1, 2, 3))
+
+
+def test_line_steps_make_no_substitution(a19_pair, monkeypatch):
+    # a line step relabels exponents; only a point step substitutes
+    q = normalize_at_point(a19_pair[1], P0)
+    substitutions, transforms = [], Counter()
+    substitute_ = blowup.substitute
+    step_transform_ = blowup.step_transform
+
+    def counting_substitute(f, images):
+        substitutions.append(f)
+        return substitute_(f, images)
+
+    def counting_step_transform(f, kind):
+        transforms[kind] += 1
+        return step_transform_(f, kind)
+
+    monkeypatch.setattr(blowup, "substitute", counting_substitute)
+    monkeypatch.setattr(blowup, "step_transform", counting_step_transform)
+    enumerate_vp(q, 2, 5)
+    assert transforms[CURVE] > 0
+    assert len(substitutions) == transforms[POINT]
